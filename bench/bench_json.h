@@ -124,8 +124,8 @@ inline constexpr int kBenchSchemaVersion = 8;
 
 /// Starts a row carrying the shared metadata header every BENCH_*.json line
 /// leads with: bench name, schema version, platform, model, executor mode
-/// ("sequential" | "wavefront" | "all" for rows aggregating both), and the
-/// active graph pass pipeline (comma-joined names; pass
+/// ("sequential" for single-model runs, "engine" for serving-engine rows),
+/// and the active graph pass pipeline (comma-joined names; pass
 /// graph::join_pass_names(cm.pass_pipeline()) when a bench customizes it).
 /// Append bench-specific fields to the returned object, then emit().
 inline JsonObject bench_row(

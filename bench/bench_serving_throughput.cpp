@@ -2,19 +2,19 @@
 //
 // The paper's tables report single-shot latency; a deployed edge endpoint
 // instead runs the same compiled model thousands of times. This bench
-// measures repeated CompiledModel::run() calls under the four executor
-// configurations {sequential, wavefront} x {arena off, arena on}:
+// measures repeated CompiledModel::run() calls with the plan-backed arena
+// off and on:
 //
 //   * host ms/run     — real wall-clock cost of one inference on this
-//     machine (shapes-only numerics), where the plan-backed arena removes
-//     every per-run intermediate allocation;
-//   * simulated ms    — the platform time model: serial sum for the
-//     sequential executor, per-lane critical path for the wavefront
-//     executor, which overlaps independent branches and CPU fallback ops.
+//     machine (shapes-only numerics), where the arena removes every per-run
+//     intermediate allocation;
+//   * simulated ms    — the platform time model: the serial sum of the
+//     in-order executor, plus the per-lane critical path the same charges
+//     would give if independent branches and CPU fallback ops overlapped.
 //
-// Models are the branchy ones, where both effects are largest: Inception v1
-// (nine 4-branch modules) and SSD over MobileNet (six detection scales plus
-// a CPU-fallback detection tail).
+// Models are the branchy ones, where the serial sum and the critical path
+// differ most: Inception v1 (nine 4-branch modules), SSD over MobileNet (six
+// detection scales plus a CPU-fallback detection tail) and YOLOv3.
 //
 // A numerics-on section serves InceptionV1 through both numerics
 // engines — the reference interpreter and the host-JIT backend (compiled
@@ -71,15 +71,12 @@ using Clock = std::chrono::steady_clock;
 
 struct Config {
   const char* label;
-  igc::graph::ExecMode mode;
   bool arena;
 };
 
 constexpr Config kConfigs[] = {
-    {"sequential", igc::graph::ExecMode::kSequential, false},
-    {"sequential+arena", igc::graph::ExecMode::kSequential, true},
-    {"wavefront", igc::graph::ExecMode::kWavefront, false},
-    {"wavefront+arena", igc::graph::ExecMode::kWavefront, true},
+    {"sequential", false},
+    {"sequential+arena", true},
 };
 
 struct Percentiles {
@@ -381,11 +378,11 @@ int main(int argc, char** argv) {
         {"InceptionV1", compile(models::build_inception_v1(rng), plat, copts),
          200});
     if (!quick) {
-      // The detection tails fall back to the companion CPU (Sec. 3.1.2):
-      // under wavefront dispatch they overlap with GPU convolution work.
-      // YOLO's three decode heads hang off different backbone depths, so the
-      // shallow heads decode (and copy back) while the deeper backbone is
-      // still convolving — the clearest critical-path win.
+      // The detection tails fall back to the companion CPU (Sec. 3.1.2), so
+      // their lane can overlap GPU convolution work in the critical-path
+      // model. YOLO's three decode heads hang off different backbone
+      // depths, which makes its critical path the shortest against the
+      // serial sum.
       copts.cpu_fallback_ops = {graph::OpKind::kSsdDetection,
                                 graph::OpKind::kBoxNms};
       workloads.push_back(
@@ -411,7 +408,6 @@ int main(int argc, char** argv) {
     Tensor baseline_out;
     std::vector<Row> rows;
     for (const Config& cfg : kConfigs) {
-      ropts.mode = cfg.mode;
       ropts.use_arena = cfg.arena;
       // Warm up: first arena run builds the plan and faults in the slabs.
       RunResult warm = w.cm.run(ropts);
@@ -450,9 +446,7 @@ int main(int argc, char** argv) {
               (1024.0 * 1024.0),
           r.latency.p50, r.latency.p95, r.latency.p99);
 
-      bench::JsonObject j = bench::bench_row(
-          "serving", plat.name, w.name,
-          cfg.mode == graph::ExecMode::kWavefront ? "wavefront" : "sequential");
+      bench::JsonObject j = bench::bench_row("serving", plat.name, w.name);
       j.field("config", r.config)
           .field("arena", cfg.arena)
           .field("runs", w.runs)
@@ -478,19 +472,17 @@ int main(int argc, char** argv) {
       j.emit(stdout);
     }
 
-    const double host_speedup = rows[0].host_ms / rows[3].host_ms;
-    const double sim_speedup =
-        rows[0].rep.latency_ms / rows[3].rep.latency_ms;
+    // The arena axis on its own: simulated time does not depend on it.
+    const double host_speedup = rows[0].host_ms / rows[1].host_ms;
     bool outputs_identical = true;
     for (const Row& r : rows) outputs_identical &= r.output_matches_baseline;
-    std::printf("%-18s host speedup (wavefront+arena vs sequential): %.2fx; "
-                "sim speedup: %.2fx; outputs identical: %s\n",
-                "", host_speedup, sim_speedup, outputs_identical ? "yes" : "NO");
+    std::printf("%-18s host speedup (sequential+arena vs sequential): %.2fx; "
+                "outputs identical: %s\n",
+                "", host_speedup, outputs_identical ? "yes" : "NO");
 
     bench::JsonObject j =
-        bench::bench_row("serving_summary", plat.name, w.name, "all");
+        bench::bench_row("serving_summary", plat.name, w.name);
     j.field("host_speedup", host_speedup)
-        .field("sim_speedup", sim_speedup)
         .field("outputs_identical", outputs_identical);
     j.emit(jf);
     j.emit(stdout);
@@ -548,7 +540,6 @@ int main(int argc, char** argv) {
     for (const BackendRow& b : kBackends) {
       RunOptions ropts;
       ropts.compute_numerics = true;
-      ropts.mode = graph::ExecMode::kSequential;
       ropts.use_arena = true;
       ropts.backend = b.backend;
       RunResult warm = cm.run(ropts);  // warm: plan + arena + (jit) scratch

@@ -111,7 +111,6 @@ void usage(const char* argv0, std::FILE* out) {
       "  --dump-graph-after NAME dump the graph after one pass\n"
       "  --save-db PATH / --load-db PATH   persist / warm the TuneDb\n"
       "execution flags:\n"
-      "  --wavefront             wavefront executor (default sequential)\n"
       "  --arena                 plan-backed buffer arena\n"
       "observability flags:\n"
       "  --trace PATH            Chrome trace JSON (spans + counter tracks)\n"
@@ -178,7 +177,7 @@ int main(int argc, char** argv) {
 
   CompileOptions opts;
   bool dump_graph = false, dump_kernels = false;
-  bool wavefront = false, arena = false, report = false;
+  bool arena = false, report = false;
   bool counters = false, roofline = false, jit_stats = false;
   bool serve = false, serve_demo = false;
   long serve_port = 0, metrics_interval_ms = 1000, serve_runs = 0;
@@ -299,8 +298,6 @@ int main(int argc, char** argv) {
       load_db = argv[++i];
     } else if (!std::strcmp(argv[i], "--untuned")) {
       opts.skip_tuning = true;
-    } else if (!std::strcmp(argv[i], "--wavefront")) {
-      wavefront = true;
     } else if (!std::strcmp(argv[i], "--arena")) {
       arena = true;
     } else if (!std::strcmp(argv[i], "--trace") && i + 1 < argc) {
@@ -380,17 +377,14 @@ int main(int argc, char** argv) {
   RunOptions ropts;
   ropts.input_seed = 1;
   ropts.compute_numerics = !big_model;
-  ropts.mode = wavefront ? graph::ExecMode::kWavefront
-                         : graph::ExecMode::kSequential;
   ropts.use_arena = arena;
   if (!trace_path.empty() || report || counters || roofline)
     ropts.trace = &recorder;
   const RunResult r = cm.run(ropts);
-  std::printf("  latency %.2f ms [%s%s] (conv %.2f, vision %.2f, copies %.3f, "
+  std::printf("  latency %.2f ms%s (conv %.2f, vision %.2f, copies %.3f, "
               "fallback %.2f, other %.2f)\n",
-              r.latency_ms, wavefront ? "wavefront" : "sequential",
-              arena ? ", arena" : "", r.conv_ms, r.vision_ms, r.copy_ms,
-              r.fallback_ms, r.other_ms);
+              r.latency_ms, arena ? " [arena]" : "", r.conv_ms, r.vision_ms,
+              r.copy_ms, r.fallback_ms, r.other_ms);
   if (r.counters.launches > 0) {
     std::printf("  counters: %lld launches, %.1f GFLOPS achieved, %.1f GB/s "
                 "DRAM, occupancy %.2f, %s-bound overall\n",
@@ -524,7 +518,6 @@ int main(int argc, char** argv) {
       serve::TenantSpec spec;
       spec.name = model_name + "#" + std::to_string(t);
       spec.model = &cm;
-      spec.run.mode = ropts.mode;
       spec.run.compute_numerics = false;
       spec.run.use_arena = true;
       engine.add_tenant(std::move(spec));

@@ -95,7 +95,6 @@ LowerResult build_dispatch_table(const graph::Graph& g, KernelCache& cache,
   const auto t_lower = Clock::now();
   std::vector<NodePlan> plans;
   std::map<std::string, PendingKernel> kernels;  // signature -> kernel
-  const std::vector<bool> live = g.live_mask();
 
   auto intern = [&](const std::string& sig,
                     const std::function<ir::LoweredKernel(
@@ -109,7 +108,6 @@ LowerResult build_dispatch_table(const graph::Graph& g, KernelCache& cache,
   };
 
   for (const Node& n : g.nodes()) {
-    if (!live[n.id]) continue;
     NodePlan plan;
     plan.node_id = n.id;
     switch (n.kind) {

@@ -28,7 +28,11 @@ CompiledModel compile(models::Model model, const sim::Platform& platform,
       opts.pass_names, opts.disabled_passes, opts.cpu_fallback_ops,
       std::move(popts));
   cm.pass_report_ = pipeline.run(cm.graph_);
+  // Whatever the pipeline, the compiled graph is compact: every node reaches
+  // the output. A no-op after the default pipeline (dce and place compact).
+  const int compacted = graph::dead_node_elimination_pass(cm.graph_);
   cm.pass_stats_ = graph::pass_stats_from(cm.pass_report_, cm.graph_);
+  cm.pass_stats_.removed_dead_nodes += compacted;
   if (opts.warm_db != nullptr) cm.db_ = *opts.warm_db;
   cm.tuned_ = !opts.skip_tuning;
   if (!opts.skip_tuning) {
@@ -97,7 +101,6 @@ RunResult CompiledModel::run(const RunOptions& opts) const {
   eopts.conv_layout_block = layouts_;
   eopts.conv_schedules =
       variant != nullptr ? &variant->conv_schedules : &conv_schedules_;
-  eopts.mode = opts.mode;
   eopts.use_arena = opts.use_arena;
   eopts.trace = opts.trace;
   // JIT kernels are specialized to the seed shapes; non-seed bindings take
@@ -109,9 +112,7 @@ RunResult CompiledModel::run(const RunOptions& opts) const {
     obs::TraceMeta meta;
     meta.model = name_;
     meta.platform = platform_->name;
-    meta.mode =
-        opts.mode == graph::ExecMode::kWavefront ? "wavefront" : "sequential";
-    meta.arena = opts.use_arena;
+    meta.arena = opts.use_arena || opts.serving_context != nullptr;
     opts.trace->begin(std::move(meta));
   }
 

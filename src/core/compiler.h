@@ -79,8 +79,9 @@ struct CompileOptions {
   /// names raise igc::Error at compile() time.
   std::vector<std::string> pass_names;
   /// Passes dropped from the pipeline (whatever its order). The compiler
-  /// tolerates any subset: the executor and memory planner handle
-  /// un-compacted and unplaced graphs.
+  /// tolerates any subset: compile() compacts the graph after the pipeline
+  /// (counted in PassStats::removed_dead_nodes), and the executor handles
+  /// unplaced graphs.
   std::set<std::string> disabled_passes;
   /// Run Graph::validate() after every pass (compile-time cost only).
   bool validate_after_each_pass = false;
@@ -128,22 +129,19 @@ class ServingContext {
 };
 
 /// Knobs for one inference call. Outputs are bit-identical across every
-/// combination of mode/use_arena/backend for a fixed input_seed.
+/// combination of use_arena/backend for a fixed input_seed.
 struct RunOptions {
   uint64_t input_seed = 0xbe5c;
   /// Off propagates shapes and synthetic detection data only (fast for
   /// full-size models).
   bool compute_numerics = true;
-  /// kWavefront dispatches independent nodes concurrently and reports the
-  /// per-lane critical-path latency instead of the serial sum.
-  graph::ExecMode mode = graph::ExecMode::kSequential;
   /// Serve intermediate tensors from a persistent plan-backed arena owned by
   /// the model: after the first run, repeated runs perform no intermediate
   /// heap allocations (steady-state serving). Arena runs on one model are
   /// serialized internally.
   bool use_arena = false;
   /// When set, the run starts a fresh trace on this recorder (model /
-  /// platform / mode metadata) and records one span per executed node.
+  /// platform / arena metadata) and records one span per executed node.
   /// Tracing never changes outputs. The recorder must outlive the call;
   /// concurrent runs must not share one.
   obs::TraceRecorder* trace = nullptr;
@@ -169,7 +167,7 @@ struct RunOptions {
 struct RunResult {
   Tensor output;
   double latency_ms = 0.0;
-  /// Both simulated time models, regardless of the mode run (see ExecResult).
+  /// Both simulated time models (see ExecResult).
   double serial_ms = 0.0;
   double critical_path_ms = 0.0;
   double conv_ms = 0.0;

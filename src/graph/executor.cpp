@@ -1,7 +1,6 @@
 #include "graph/executor.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstring>
@@ -36,10 +35,9 @@ struct Value {
   int64_t heap_bytes = 0;  // accounted heap bytes (0 for aliases and arena)
 };
 
-/// Everything one node's execution touches that must not be shared between
-/// concurrently running nodes: its simulated clock/GPU and its private Rng.
-/// The Rng is seeded from (run seed, node name) so synthetic data is
-/// identical no matter which dispatch mode or host interleaving ran the node.
+/// One node's simulated clock/GPU and its private Rng. The Rng is seeded
+/// from (run seed, node name) so synthetic data does not depend on node ids,
+/// which passes renumber.
 struct NodeCtx {
   sim::SimClock clock;
   sim::GpuSimulator gpu;
@@ -50,9 +48,7 @@ struct NodeCtx {
 };
 
 /// The simulated cost and trace of one node, merged after dispatch. The
-/// host_* fields are only filled on traced runs: they are written by the
-/// thread that executed the node (into its private NodeRun slot) and read in
-/// the single-threaded post-run merge.
+/// host_* fields are only filled on traced runs.
 struct NodeRun {
   double ms = 0.0;
   std::vector<sim::ClockEvent> events;
@@ -179,29 +175,29 @@ class ExecutorImpl {
     values_.resize(n_nodes);
     layout_block_.assign(n_nodes, 1);
     node_runs_.resize(n_nodes);
-    compute_liveness();
+
+    // Reference counts for eager buffer release (the runtime analogue of the
+    // memory planner): a node's tensor is dropped after its last consumer.
+    // They double as the compactness check: in a DAG every node reaches the
+    // output exactly when every other node has a consumer.
+    pending_.assign(n_nodes, 0);
+    for (const Node& n : g_.nodes()) {
+      for (int in : n.inputs) ++pending_[static_cast<size_t>(in)];
+    }
+    for (const Node& n : g_.nodes()) {
+      IGC_CHECK(n.id == g_.output() || pending_[static_cast<size_t>(n.id)] > 0)
+          << "execute: node " << n.name
+          << " does not reach the graph output; compile() compacts graphs, "
+             "or run dead_node_elimination_pass first";
+    }
     base_seed_ = input_rng_.next_u64();
 
     if (opts_.use_arena) setup_arena();
 
-    // Reference counts for eager buffer release (the runtime analogue of the
-    // memory planner): a node's tensor is dropped after its last consumer.
-    pending_.assign(n_nodes, 0);
-    for (const Node& n : g_.nodes()) {
-      if (!live(n.id)) continue;
-      for (int in : n.inputs) ++pending_[static_cast<size_t>(in)];
-    }
-
     try {
-      // A nested execute() from a scheduler worker (a model run inside a
-      // node task) must not block on its own pool: degrade to sequential
-      // dispatch. Simulated timing is unaffected — it is derived from the
-      // per-node charges, not from how the host interleaved them.
-      if (opts_.mode == ExecMode::kWavefront &&
-          !ThreadPool::scheduler().on_worker_thread()) {
-        run_wavefront();
-      } else {
-        run_sequential();
+      for (const Node& n : g_.nodes()) {
+        node_runs_[static_cast<size_t>(n.id)] = exec_one(n);
+        on_node_done(n);
       }
     } catch (...) {
       release_all_arena();
@@ -211,8 +207,6 @@ class ExecutorImpl {
   }
 
  private:
-  bool live(int id) const { return live_[static_cast<size_t>(id)]; }
-
   /// Arena invariants, checked up front so misuse fails with a clear
   /// igc::Error instead of a deep assertion: use_arena takes the
   /// caller-provided (arena, plan) pair together or not at all, and a
@@ -239,10 +233,6 @@ class ExecutorImpl {
     }
   }
 
-  // Compacted graphs (the default pipeline) are fully live; the mask only
-  // filters dead markers when a custom pipeline skipped compaction.
-  void compute_liveness() { live_ = g_.live_mask(); }
-
   void setup_arena() {
     if (opts_.arena != nullptr) {
       IGC_CHECK(opts_.plan != nullptr)
@@ -262,110 +252,6 @@ class ExecutorImpl {
     IGC_CHECK_EQ(arena_->in_use_bytes(), 0)
         << "arena still holds buffers from a previous run";
     arena_->reset_peak();
-  }
-
-  // ----- dispatch ---------------------------------------------------------
-
-  void run_sequential() {
-    for (const Node& n : g_.nodes()) {
-      if (!live(n.id)) continue;
-      node_runs_[static_cast<size_t>(n.id)] = exec_one(n);
-      on_node_done(n);
-    }
-  }
-
-  void run_wavefront() {
-    const size_t n_nodes = static_cast<size_t>(g_.num_nodes());
-    // Dependency edges: data inputs, plus anti-dependency edges when buffers
-    // are recycled — the next holder of a planned buffer must not start
-    // before the previous holder and all of its readers have finished.
-    std::vector<std::set<int>> deps(n_nodes);
-    for (const Node& n : g_.nodes()) {
-      if (!live(n.id)) continue;
-      for (int in : n.inputs) deps[static_cast<size_t>(n.id)].insert(in);
-    }
-    if (arena_ != nullptr) add_anti_deps(deps);
-
-    std::vector<int> indeg(n_nodes, 0);
-    std::vector<std::vector<int>> succ(n_nodes);
-    std::vector<int> roots;
-    for (const Node& n : g_.nodes()) {
-      if (!live(n.id)) continue;
-      indeg[static_cast<size_t>(n.id)] =
-          static_cast<int>(deps[static_cast<size_t>(n.id)].size());
-      if (deps[static_cast<size_t>(n.id)].empty()) roots.push_back(n.id);
-      for (int d : deps[static_cast<size_t>(n.id)]) {
-        succ[static_cast<size_t>(d)].push_back(n.id);
-      }
-    }
-
-    TaskGroup group(ThreadPool::scheduler());
-    // Ready-queue depth: tasks spawned (dependencies resolved) but not yet
-    // finished. The peak is a host-scheduling observable, not part of the
-    // deterministic time model, so it lives in the metrics registry only.
-    std::atomic<int> ready_depth{0};
-    std::atomic<int> ready_peak{0};
-    auto note_spawn = [&] {
-      const int d = ready_depth.fetch_add(1, std::memory_order_relaxed) + 1;
-      int peak = ready_peak.load(std::memory_order_relaxed);
-      while (d > peak && !ready_peak.compare_exchange_weak(
-                             peak, d, std::memory_order_relaxed)) {
-      }
-    };
-    // Spawns are only issued while holding sched_mu_ (or before any task
-    // runs), and group.wait() joins every task before the locals above go out
-    // of scope, so the reference captures below are safe.
-    std::function<void(int)> spawn = [&](int id) {
-      note_spawn();
-      group.run([this, &group, &succ, &indeg, &spawn, &ready_depth, id] {
-        const Node& n = g_.node(id);
-        NodeRun r = exec_one(n);
-        std::lock_guard<std::mutex> lock(sched_mu_);
-        node_runs_[static_cast<size_t>(id)] = std::move(r);
-        on_node_done(n);
-        ready_depth.fetch_sub(1, std::memory_order_relaxed);
-        if (group.failed()) return;  // stop fanning out after an error
-        for (int s : succ[static_cast<size_t>(id)]) {
-          if (--indeg[static_cast<size_t>(s)] == 0) spawn(s);
-        }
-      });
-    };
-    // Roots were snapshotted before anything ran: re-reading indeg here
-    // would race with finishing tasks and could spawn a node twice.
-    for (int id : roots) spawn(id);
-    group.wait();
-    const int peak = ready_peak.load(std::memory_order_relaxed);
-    auto& reg = obs::MetricsRegistry::global();
-    reg.gauge("exec.ready_queue_peak").update_max(peak);
-  }
-
-  /// Anti-dependency edges derived from the memory plan. The planner assigns
-  /// buffers walking nodes in id order and recycles a buffer only after the
-  /// previous holder's last consumer, so every edge points to a higher id
-  /// and the graph stays acyclic.
-  void add_anti_deps(std::vector<std::set<int>>& deps) const {
-    std::vector<std::vector<int>> consumers(
-        static_cast<size_t>(g_.num_nodes()));
-    std::map<int, std::vector<int>> holders;  // buffer id -> node ids, ordered
-    for (const Node& n : g_.nodes()) {
-      if (!live(n.id)) continue;
-      for (int in : n.inputs) consumers[static_cast<size_t>(in)].push_back(n.id);
-      const int buf = plan_->buffer_of_node[static_cast<size_t>(n.id)];
-      IGC_CHECK_GE(buf, 0) << "live node " << n.name << " has no planned buffer";
-      holders[buf].push_back(n.id);
-    }
-    for (const auto& [buf, hs] : holders) {
-      for (size_t i = 0; i + 1 < hs.size(); ++i) {
-        const int prev = hs[i];
-        const int next = hs[i + 1];
-        deps[static_cast<size_t>(next)].insert(prev);
-        for (int c : consumers[static_cast<size_t>(prev)]) {
-          IGC_CHECK_LT(c, next) << "memory plan reuses buffer " << buf
-                                << " before its last consumer";
-          deps[static_cast<size_t>(next)].insert(c);
-        }
-      }
-    }
   }
 
   NodeRun exec_one(const Node& n) {
@@ -395,10 +281,7 @@ class ExecutorImpl {
   }
 
   /// Post-execution bookkeeping for one node: peak-memory accounting and
-  /// eager release of inputs whose last consumer just ran. Called inline in
-  /// sequential dispatch and under sched_mu_ in wavefront dispatch; releases
-  /// happen before successors are spawned, which is what makes the
-  /// anti-dependency edges sufficient for safe concurrent buffer reuse.
+  /// eager release of inputs whose last consumer just ran.
   void on_node_done(const Node& n) {
     heap_in_use_ += val(n.id).heap_bytes;
     const int64_t arena_now = arena_ != nullptr ? arena_->in_use_bytes() : 0;
@@ -433,12 +316,11 @@ class ExecutorImpl {
 
   ExecResult finalize() {
     ExecResult result;
-    // Simulated time, merged deterministically from the per-node charges in
-    // topological id order: the serial sum models the sequential executor's
-    // single in-order queue; the lane schedule models the wavefront executor
-    // (per-device engines running independent nodes concurrently). Trace
-    // spans are recorded here, from the same deterministic merge — never
-    // from concurrently running node tasks.
+    // Simulated time, merged from the per-node charges in topological id
+    // order: the serial sum is the latency of the single in-order queue; the
+    // lane schedule is the critical path if per-device engines (GPU queue,
+    // companion CPU, copy engine) overlapped independent nodes. Trace spans
+    // take their lane windows from the same schedule.
     double serial = 0.0;
     sim::LaneSchedule lanes;
     size_t total_events = 0;
@@ -446,7 +328,6 @@ class ExecutorImpl {
     result.events.reserve(total_events);
     std::vector<double> finish(static_cast<size_t>(g_.num_nodes()), 0.0);
     for (const Node& n : g_.nodes()) {
-      if (!live(n.id)) continue;
       const NodeRun& r = node_runs_[static_cast<size_t>(n.id)];
       serial += r.ms;
       attribute(n, r.ms, result);
@@ -464,11 +345,9 @@ class ExecutorImpl {
                            r.events.end());
     }
     result.serial_ms = serial;
+    result.latency_ms = serial;
     record_metrics(result);
     result.critical_path_ms = finish[static_cast<size_t>(g_.output())];
-    result.latency_ms = opts_.mode == ExecMode::kWavefront
-                            ? result.critical_path_ms
-                            : result.serial_ms;
 
     Value& out = val(g_.output());
     // An arena-backed output must escape the run by copy: its slab is
@@ -531,7 +410,6 @@ class ExecutorImpl {
     static auto& sim_occ_pct = m.histogram("sim.launch_occupancy_pct");
     runs.add(1);
     for (const Node& n : g_.nodes()) {
-      if (!live(n.id)) continue;
       nodes.add(1);
       if (categorize(n.kind, n.place) == sim::OpCategory::kFallback) {
         fallbacks.add(1);
@@ -603,7 +481,6 @@ class ExecutorImpl {
   Tensor arena_acquire(const Node& n, const Shape& shape, DType dtype,
                        bool zero_fill) {
     const int buf = plan_->buffer_of_node[static_cast<size_t>(n.id)];
-    IGC_CHECK_GE(buf, 0) << "live node " << n.name << " has no planned buffer";
     val(n.id).arena_buffer = buf;
     return arena_->acquire(buf, shape, dtype, zero_fill);
   }
@@ -650,16 +527,14 @@ class ExecutorImpl {
     const Value& src = val(n.inputs[0]);
     if (arena_ != nullptr) {
       const int buf = plan_->buffer_of_node[static_cast<size_t>(n.id)];
-      IGC_CHECK_GE(buf, 0) << "live node " << n.name
-                           << " has no planned buffer";
       if (src.materialized && src.arena_buffer >= 0) {
         v.tensor = arena_->acquire_shared(buf, src.arena_buffer, n.out_shape,
                                           src.tensor.dtype());
         v.arena_buffer = buf;
       } else {
         // Unmaterialized placeholders carry no data worth sharing; zero-fill
-        // only when the value escapes as the graph output (matching the
-        // sequential executor, whose alias of a zeroed placeholder is zeros).
+        // only when the value escapes as the graph output (matching the heap
+        // path, whose alias of a zeroed placeholder is zeros).
         const bool zero = !src.materialized && n.id == g_.output();
         v.tensor = arena_acquire(n, n.out_shape, src.tensor.dtype(), zero);
       }
@@ -1322,7 +1197,6 @@ class ExecutorImpl {
   uint64_t base_seed_ = 0;
 
   std::vector<Value> values_;
-  std::vector<bool> live_;
   std::vector<int> layout_block_;
   std::vector<int> pending_;
   std::vector<NodeRun> node_runs_;
@@ -1333,9 +1207,6 @@ class ExecutorImpl {
   const MemoryPlan* plan_ = nullptr;
   BufferArena* arena_ = nullptr;
 
-  // Guards pending_/indegree bookkeeping, value release, and peak-memory
-  // accounting under wavefront dispatch.
-  std::mutex sched_mu_;
   int64_t heap_in_use_ = 0;
   int64_t peak_bytes_ = 0;
 

@@ -1,29 +1,22 @@
 // The heterogeneous graph executor.
 //
-// Runs an optimized graph against a simulated platform in one of two
-// dispatch modes:
+// Runs an optimized graph against a simulated platform by walking its nodes
+// in topological (id) order on the calling thread — one in-order queue, the
+// paper's executor. Simulated latency is the serial sum of every kernel
+// charge. Each run also reports the critical-path makespan of a per-lane
+// schedule (GPU queue, companion CPU, copy engine — see sim::LaneSchedule):
+// the latency the same charges would give if independent nodes overlapped
+// across devices. Every node draws its synthetic data from a private Rng
+// seeded from (input seed, node name), so outputs do not depend on node ids.
 //
-//   * kSequential — walks nodes in topological order on the calling thread.
-//     Simulated latency is the serial sum of every kernel charge (one
-//     in-order queue, the paper's baseline executor).
-//   * kWavefront  — dispatches every node whose dependencies have resolved
-//     onto the scheduler thread pool, so independent branches (Inception
-//     limbs, SSD/YOLO heads) and CPU-fallback operators execute concurrently
-//     with GPU work on the host. Simulated latency is the critical-path
-//     makespan of a deterministic per-lane schedule (GPU queue, companion
-//     CPU, copy engine — see sim::LaneSchedule), not the serial sum.
-//
-// Both modes produce bit-identical outputs: every node draws its synthetic
-// data from a private Rng seeded from (input seed, node name), so numerics
-// never depend on dispatch order or on which nodes run concurrently.
+// The graph must be compact: every node reaches the output, as compile()
+// guarantees. execute() rejects a graph with an unreachable node.
 //
 // Intermediate tensors can come from a plan-backed BufferArena (see
 // src/tensor/arena.h) sized by plan_memory(): buffers are recycled across
 // nodes within a run and, when the caller keeps the arena (CompiledModel
 // does), across repeated runs — steady-state serving then performs no
-// intermediate heap allocations for node outputs. Under wavefront dispatch,
-// anti-dependency edges derived from the plan keep a reused buffer from
-// being acquired while a concurrent node still reads its previous contents.
+// intermediate heap allocations for node outputs.
 //
 // Two execution modes for numerics:
 //   * numerics on  — every operator computes its real output (tests,
@@ -36,7 +29,6 @@
 #pragma once
 
 #include <map>
-#include <set>
 
 #include "core/rng.h"
 #include "graph/graph.h"
@@ -59,8 +51,6 @@ namespace igc::graph {
 /// (Sec. 3.1.2) whatever its kind.
 sim::OpCategory categorize(OpKind kind, Place place);
 
-enum class ExecMode { kSequential, kWavefront };
-
 struct ExecOptions {
   bool compute_numerics = true;
   /// Sec. 3.1 optimizations on vision ops; off = Table 4 "Before".
@@ -71,8 +61,6 @@ struct ExecOptions {
   /// Graph-tuner layout choice per conv node id (block size, 1 = NCHW).
   std::map<int, int> conv_layout_block;
 
-  /// Dispatch mode (see file comment). Outputs are identical either way.
-  ExecMode mode = ExecMode::kSequential;
   /// Back node outputs with a plan_memory()-sized buffer arena instead of
   /// fresh heap tensors. When `arena` is null a private arena is built for
   /// the run; pass a persistent arena (plus its plan) to reuse buffers
@@ -99,21 +87,20 @@ struct ExecOptions {
 
   /// When set, one TraceSpan per executed node is appended to this recorder
   /// (simulated lane windows, host dispatch times, category, shapes, bytes,
-  /// chosen conv schedule). Spans are recorded in the deterministic post-run
-  /// merge, so tracing never perturbs outputs or wavefront scheduling. The
-  /// recorder must outlive the run; concurrent runs must not share one.
+  /// chosen conv schedule). Spans are recorded in the post-run merge, so
+  /// tracing never perturbs outputs. The recorder must outlive the run;
+  /// concurrent runs must not share one.
   obs::TraceRecorder* trace = nullptr;
 };
 
 struct ExecResult {
   Tensor output;
-  /// Simulated end-to-end latency under the chosen dispatch mode: serial
-  /// sum for kSequential, per-lane critical path for kWavefront.
+  /// Simulated end-to-end latency: the serial sum of every node's charge.
   double latency_ms = 0.0;
-  /// Serial sum of every node's charge (== kSequential latency).
+  /// Serial sum of every node's charge (== latency_ms).
   double serial_ms = 0.0;
-  /// Per-lane critical-path makespan (== kWavefront latency). Also filled
-  /// in sequential runs, so one run reports both time models.
+  /// Per-lane critical-path makespan: the latency if independent nodes
+  /// overlapped across device lanes. Never more than serial_ms.
   double critical_path_ms = 0.0;
   /// Per-category breakdown of the serial sum, attributed by categorize():
   /// conv / vision / copies / CPU-fallback ops / everything else. The five
@@ -141,7 +128,7 @@ struct ExecResult {
 /// Executes `g` on `platform`. `input_rng` seeds the synthetic model input
 /// (and, in shapes-only mode, the synthetic detection tensors): one value is
 /// drawn from it, and every node derives a private Rng from that value and
-/// its stable node name.
+/// its stable node name. Throws igc::Error when `g` is not compact.
 ExecResult execute(const Graph& g, const sim::Platform& platform,
                    const ExecOptions& opts, Rng& input_rng);
 

@@ -20,23 +20,22 @@ MemoryPlan plan_memory(const Graph& g) {
   MemoryPlan plan;
   plan.buffer_of_node.assign(static_cast<size_t>(n), -1);
 
-  // The default pipeline compacts the graph (dce/place), so normally every
-  // node is live and gets a buffer. A custom pipeline that skips compaction
-  // may leave bypassed nodes; those get no buffer (-1) and do not count as
-  // consumers.
-  const std::vector<bool> live = g.live_mask();
-
-  // Liveness: node output is live from its definition to its last (live)
-  // consumer; the graph output is live to the end.
+  // Liveness: node output is live from its definition to its last consumer;
+  // the graph output is live to the end. A node with no consumer other than
+  // the output does not reach it: the graph is not compact.
   std::vector<int> last_use(static_cast<size_t>(n), -1);
   for (const Node& node : g.nodes()) {
-    if (!live[static_cast<size_t>(node.id)]) continue;
     for (int in : node.inputs) {
       last_use[static_cast<size_t>(in)] =
           std::max(last_use[static_cast<size_t>(in)], node.id);
     }
   }
   last_use[static_cast<size_t>(g.output())] = n;
+  for (const Node& node : g.nodes()) {
+    IGC_CHECK_GE(last_use[static_cast<size_t>(node.id)], 0)
+        << "plan_memory: node " << node.name
+        << " does not reach the graph output (graph is not compact)";
+  }
 
   struct FreeBuf {
     int id;
@@ -47,7 +46,6 @@ MemoryPlan plan_memory(const Graph& g) {
   std::vector<std::vector<int>> expiring(static_cast<size_t>(n + 1));
 
   for (const Node& node : g.nodes()) {
-    if (!live[static_cast<size_t>(node.id)]) continue;  // no buffer
     const int64_t bytes = node.out_shape.numel() * 4;
     plan.unshared_bytes += bytes;
     // Best-fit reuse: smallest free buffer that fits.
@@ -71,10 +69,8 @@ MemoryPlan plan_memory(const Graph& g) {
         std::max(plan.buffer_bytes[static_cast<size_t>(buf_id)], bytes);
     plan.buffer_of_node[static_cast<size_t>(node.id)] = buf_id;
     plan.buffer_holders[static_cast<size_t>(buf_id)].push_back(node.id);
-    const int death = last_use[static_cast<size_t>(node.id)];
-    if (death <= n) {
-      expiring[static_cast<size_t>(std::min(death, n))].push_back(buf_id);
-    }
+    expiring[static_cast<size_t>(last_use[static_cast<size_t>(node.id)])]
+        .push_back(buf_id);
     // Return buffers freed by values that died at this step.
     for (int freed : expiring[static_cast<size_t>(node.id)]) {
       free_list.push_back(

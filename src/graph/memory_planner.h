@@ -25,16 +25,14 @@
 namespace igc::graph {
 
 struct MemoryPlan {
-  /// Buffer id assigned to each node's output. On a compacted graph (the
-  /// default pipeline ends in dce/place) every entry is >= 0; only custom
-  /// pipelines that skip compaction leave -1 entries for dead nodes.
+  /// Buffer id assigned to each node's output; every entry is >= 0.
   std::vector<int> buffer_of_node;
   /// Size in bytes of each buffer at the shape the plan was made (or last
   /// rebound) for. The PagedArena resolves this to page counts at bind time.
   std::vector<int64_t> buffer_bytes;
   /// Node ids sharing each buffer, in execution order (the inverse of
-  /// buffer_of_node). Used for anti-dependency edges and for re-resolving
-  /// buffer sizes at a new shape binding.
+  /// buffer_of_node). Used for re-resolving buffer sizes at a new shape
+  /// binding.
   std::vector<std::vector<int>> buffer_holders;
 
   int64_t total_bytes() const {
@@ -48,9 +46,10 @@ struct MemoryPlan {
 
 /// Greedy liveness-based buffer assignment: a node's output buffer is
 /// reusable after its last consumer executes. Weights/constants are not
-/// counted (they are resident for the model's lifetime). Increments the
-/// graph.plan.plans metric — dynamic-shape rebinding must go through
-/// resolve_buffer_bytes() instead of replanning.
+/// counted (they are resident for the model's lifetime). `g` must be
+/// compact (every node reaches the output); otherwise throws igc::Error.
+/// Increments the graph.plan.plans metric — dynamic-shape rebinding must go
+/// through resolve_buffer_bytes() instead of replanning.
 MemoryPlan plan_memory(const Graph& g);
 
 /// Resolves the plan's buffer sizes against `shaped` — a graph with the same

@@ -104,8 +104,7 @@ PassPipeline build_pipeline(const std::vector<std::string>& names,
 
 /// Summarizes a pipeline run into the compile-facing PassStats: per-pass
 /// rewrite counts mapped to their legacy fields, plus device counts over the
-/// graph's *live* nodes only (dead pass-through markers — present when a
-/// custom pipeline omits compaction — are never counted).
+/// nodes of `g`, which must be compact (compile() compacts it first).
 PassStats pass_stats_from(const std::vector<PassRunStats>& report,
                           const Graph& g);
 

@@ -26,7 +26,7 @@ struct PassStats {
   int precomputed_constants = 0;
   /// Dead pass-through nodes removed by compaction (dce).
   int removed_dead_nodes = 0;
-  /// Device counts over live nodes only.
+  /// Device counts over the compiled (compact) graph.
   int gpu_nodes = 0;
   int cpu_nodes = 0;
   int copies_inserted = 0;

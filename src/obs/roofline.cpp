@@ -10,7 +10,6 @@ RooflineReport roofline_report(const TraceRecorder& rec,
   RooflineReport rep;
   rep.model = rec.meta().model;
   rep.platform = rec.meta().platform;
-  rep.mode = rec.meta().mode;
   rep.peak_gflops = gpu.peak_gflops;
   rep.peak_gbps = gpu.dram_bandwidth_gbps;
   rep.ridge_intensity =
@@ -64,8 +63,8 @@ std::string RooflineReport::str(int top_k) const {
   char buf[256];
   std::string out;
   std::snprintf(buf, sizeof(buf),
-                "=== roofline: %s on %s (%s) ===\n", model.c_str(),
-                platform.c_str(), mode.c_str());
+                "=== roofline: %s on %s ===\n", model.c_str(),
+                platform.c_str());
   out += buf;
   std::snprintf(buf, sizeof(buf),
                 "device ceilings: %.1f GFLOPS | %.1f GB/s | ridge %.2f "

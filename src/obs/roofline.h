@@ -38,7 +38,6 @@ struct RooflineRow {
 struct RooflineReport {
   std::string model;
   std::string platform;
-  std::string mode;
   double peak_gflops = 0.0;
   double peak_gbps = 0.0;
   /// The device's ridge point (flops/byte where the two ceilings meet).

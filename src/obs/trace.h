@@ -1,21 +1,19 @@
 // Execution tracing for the heterogeneous executor.
 //
 // A TraceRecorder collects one TraceSpan per executed graph node: its
-// simulated start/end on its device lane (from the wavefront LaneSchedule;
-// in sequential mode the same schedule is synthesized, so both dispatch
-// modes trace identically), the host wall-clock window in which the node was
-// actually dispatched, its cost category, shapes/layout, bytes moved, and —
+// simulated start/end on its device lane (from the executor's per-lane
+// critical-path schedule, sim::LaneSchedule), the host wall-clock window in
+// which the node ran, its cost category, shapes/layout, bytes moved, and —
 // for convolutions — the chosen schedule config.
 //
-// The recorder is populated *after* dispatch, from the executor's
-// deterministic per-node merge: nothing on the concurrent hot path touches
-// shared recorder state, so tracing cannot perturb wavefront determinism.
+// The recorder is populated *after* dispatch, from the executor's per-node
+// merge, so tracing cannot perturb outputs or simulated times.
 //
 // Two exporters:
 //   * chrome_trace_json() — the Chrome trace-event format (load the file in
 //     chrome://tracing or https://ui.perfetto.dev): one track per simulated
 //     lane (GPU queue / companion CPU / copy engine) plus one track per host
-//     scheduler thread;
+//     thread that ran nodes;
 //   * report() — the paper's per-layer breakdown tables reproduced from the
 //     trace: category rollup, per-lane utilization, and top-k ops.
 #pragma once
@@ -33,7 +31,6 @@ namespace igc::obs {
 struct TraceMeta {
   std::string model;
   std::string platform;
-  std::string mode;  // "sequential" | "wavefront"
   bool arena = false;
   /// v2: spans carry merged KernelCounters; the Chrome export adds counter
   /// tracks (occupancy / achieved GFLOPS / achieved GB/s).
@@ -71,8 +68,8 @@ class TraceRecorder {
   /// Starts a new trace: stores the run metadata and drops prior spans.
   void begin(TraceMeta meta);
 
-  /// Appends one span. Thread-safe, but the executor only calls it from the
-  /// single-threaded post-run merge.
+  /// Appends one span. Thread-safe, but the executor only calls it from its
+  /// post-run merge.
   void record(TraceSpan span);
 
   const TraceMeta& meta() const { return meta_; }
@@ -83,7 +80,7 @@ class TraceRecorder {
   /// Finish time of the last span on `lane` (0 when the lane is idle).
   double lane_end_ms(sim::Lane lane) const;
   /// Finish time of the last span across all lanes — the simulated
-  /// wavefront critical path.
+  /// critical path.
   double makespan_ms() const;
 
   /// Chrome trace-event JSON (the whole document, not one line per event).

@@ -29,11 +29,12 @@
 // slab design exactly at any shape. Page-granular truth lives in the
 // arena.page_* metrics and the PagePool stats.
 //
-// Thread safety: acquire/release are mutex-guarded so wavefront-concurrent
-// nodes may call them freely. Two *runs* sharing one arena must still be
-// externally serialized (the buffers themselves would alias). The mutex is
-// recursive because a pool pressure hook may re-enter evict_idle() from
-// this arena's own alloc path.
+// Thread safety: acquire/release are mutex-guarded because a page pool's
+// pressure hook may call evict_idle() on this arena from another arena's
+// run thread. Two *runs* sharing one arena must still be externally
+// serialized (the buffers themselves would alias). The mutex is recursive
+// because a pool pressure hook may re-enter evict_idle() from this arena's
+// own alloc path.
 #pragma once
 
 #include <cstdint>

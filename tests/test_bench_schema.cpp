@@ -144,6 +144,12 @@ void validate_row(const obs::json::Value& row, const std::string& source) {
     // Shipped only when the worker pool actually scales goodput.
     EXPECT_GT(row.at("worker_scaling").as_number(), 1.0) << source;
   }
+  if (row.at("bench").as_string() == "serving_summary" && v >= 8) {
+    // The arena axis on its own (sequential+arena vs sequential): shipped
+    // only when the arena reproduces the heap run and is faster on host.
+    EXPECT_TRUE(row.at("outputs_identical").as_bool()) << source;
+    EXPECT_GT(row.at("host_speedup").as_number(), 1.0) << source;
+  }
   if (row.at("bench").as_string() == "serving_jit_summary") {
     // The JIT serving comparison only ships when it reproduces the
     // interpreter exactly: same bits, same simulated latency, faster host.

@@ -166,83 +166,20 @@ TEST(ThreadPool, ExceptionPathStillJoinsChunks) {
   }
 }
 
-TEST(TaskGroup, RunsAllTasksAndWaits) {
-  ThreadPool pool(4);
-  TaskGroup group(pool);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) {
-    group.run([&] { count++; });
-  }
-  group.wait();
-  EXPECT_EQ(count.load(), 100);
-  EXPECT_FALSE(group.failed());
-}
-
-TEST(TaskGroup, TasksMaySpawnTasks) {
-  // The wavefront executor's dispatch pattern: a finishing node schedules
-  // its newly-ready successors from inside its own task.
-  ThreadPool pool(4);
-  TaskGroup group(pool);
-  std::atomic<int> count{0};
-  std::function<void(int)> spawn = [&](int depth) {
-    group.run([&, depth] {
-      count++;
-      if (depth < 5) {
-        spawn(depth + 1);
-        spawn(depth + 1);
-      }
-    });
-  };
-  spawn(0);
-  group.wait();
-  EXPECT_EQ(count.load(), (1 << 6) - 1);  // full binary tree of depth 5
-}
-
-TEST(TaskGroup, WaitRethrowsAndFailedIsSticky) {
+TEST(ThreadPool, OnWorkerThreadOnlyInsideItsOwnPool) {
+  // A chunk of one pool sees itself on that pool but not on global(), which
+  // is what lets a worker of another pool fan work out to global() safely.
   ThreadPool pool(2);
-  TaskGroup group(pool);
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 16; ++i) {
-    group.run([&, i] {
-      ran++;
-      if (i == 3) throw Error("task failed");
-    });
-  }
-  EXPECT_THROW(group.wait(), Error);
-  EXPECT_TRUE(group.failed());
-  EXPECT_EQ(ran.load(), 16);  // an error does not cancel already-queued work
-  EXPECT_NO_THROW(group.wait());  // the error is consumed by the first wait
-}
-
-TEST(TaskGroup, DestructorJoinsOutstandingTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  {
-    TaskGroup group(pool);
-    for (int i = 0; i < 50; ++i) {
-      group.run([&] { count++; });
-    }
-    // No wait(): the destructor must join so the capture of `count` stays
-    // valid for every task.
-  }
-  EXPECT_EQ(count.load(), 50);
-}
-
-TEST(ThreadPool, GlobalAndSchedulerAreDistinct) {
-  EXPECT_NE(&ThreadPool::global(), &ThreadPool::scheduler());
+  EXPECT_FALSE(pool.on_worker_thread());
   EXPECT_FALSE(ThreadPool::global().on_worker_thread());
-  // A scheduler task sees itself on the scheduler pool but not the global
-  // pool, which is what lets node tasks fan work out to global() safely.
-  TaskGroup group(ThreadPool::scheduler());
-  bool on_sched = false;
-  bool on_global = true;
-  group.run([&] {
-    on_sched = ThreadPool::scheduler().on_worker_thread();
-    on_global = ThreadPool::global().on_worker_thread();
+  std::atomic<int> on_own{0};
+  std::atomic<int> on_global{0};
+  pool.parallel_for(8, [&](int64_t) {
+    on_own += pool.on_worker_thread() ? 1 : 0;
+    on_global += ThreadPool::global().on_worker_thread() ? 1 : 0;
   });
-  group.wait();
-  EXPECT_TRUE(on_sched);
-  EXPECT_FALSE(on_global);
+  EXPECT_EQ(on_own.load(), 8);
+  EXPECT_EQ(on_global.load(), 0);
 }
 
 }  // namespace

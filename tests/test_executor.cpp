@@ -1,10 +1,15 @@
 // End-to-end executor tests: numerical equivalence across optimization
-// passes, heterogeneous fallback, tuned-vs-untuned timing, and the
-// vision-op optimization switch.
+// passes, heterogeneous fallback, tuned-vs-untuned timing, the vision-op
+// optimization switch, the compactness contract, and the plan-backed arena
+// (bit-identical to heap runs, peak within the plan) with both simulated
+// time models.
 #include <gtest/gtest.h>
 
+#include "core/compiler.h"
+#include "core/error.h"
 #include "core/rng.h"
 #include "graph/executor.h"
+#include "graph/memory_planner.h"
 #include "graph/passes.h"
 #include "models/common.h"
 #include "models/models.h"
@@ -230,5 +235,177 @@ TEST(Executor, LayoutBlocksChargeTransforms) {
   EXPECT_LT(a.output.max_abs_diff(b.output), 1e-6f);
 }
 
+TEST(Executor, RejectsGraphWithUnreachableNode) {
+  // A node nothing consumes (and that is not the output) never reaches the
+  // output; execute() and plan_memory() both refuse such a graph.
+  Rng rng(10);
+  Graph g = small_net(rng);
+  g.add_activation("orphan", g.output() - 1, ops::Activation::kRelu);
+  ExecOptions opts;
+  EXPECT_THROW(run(g, PlatformId::kDeepLens, opts), Error);
+  opts.use_arena = true;
+  EXPECT_THROW(run(g, PlatformId::kDeepLens, opts), Error);
+  EXPECT_THROW(plan_memory(g), Error);
+
+  EXPECT_EQ(dead_node_elimination_pass(g), 1);
+  const MemoryPlan plan = plan_memory(g);
+  for (int buf : plan.buffer_of_node) EXPECT_GE(buf, 0);
+  EXPECT_EQ(run(g, PlatformId::kDeepLens, opts).output.shape(), Shape({1, 16}));
+}
+
+TEST(Executor, BuildsLocalArenaWhenNoneProvided) {
+  // use_arena without a caller-provided arena/plan sizes a private arena
+  // from the executor's own plan_memory() call.
+  Rng model_rng(0x5eed);
+  models::Model m = models::build_squeezenet(model_rng, 64);
+  optimize(m.graph);
+  const sim::Platform& plat = sim::platform(PlatformId::kDeepLens);
+
+  ExecOptions opts;
+  Rng rng_a(0x11);
+  const ExecResult plain = execute(m.graph, plat, opts, rng_a);
+
+  opts.use_arena = true;
+  Rng rng_b(0x11);
+  const ExecResult arena = execute(m.graph, plat, opts, rng_b);
+
+  ASSERT_TRUE(arena.output.shape() == plain.output.shape());
+  EXPECT_EQ(arena.output.max_abs_diff(plain.output), 0.0f);
+  EXPECT_EQ(arena.arena_bytes, plan_memory(m.graph).total_bytes());
+  EXPECT_LE(arena.peak_intermediate_bytes, arena.arena_bytes);
+}
+
 }  // namespace
 }  // namespace igc::graph
+
+namespace igc {
+namespace {
+
+CompiledModel compile_fast(models::Model model, const sim::Platform& plat,
+                           std::set<graph::OpKind> fallback = {}) {
+  CompileOptions copts;
+  copts.tune_trials = 8;
+  copts.cpu_fallback_ops = std::move(fallback);
+  return compile(std::move(model), plat, copts);
+}
+
+void expect_bit_identical(const Tensor& a, const Tensor& b,
+                          const std::string& what) {
+  ASSERT_TRUE(a.shape() == b.shape()) << what;
+  EXPECT_EQ(a.max_abs_diff(b), 0.0f) << what;
+}
+
+/// An arena run must reproduce the heap run: same output bits and the same
+/// per-node charges, so the same serial sum and critical path.
+void check_arena_matches_heap(const CompiledModel& cm, bool numerics) {
+  RunOptions ropts;
+  ropts.input_seed = 0x515;
+  ropts.compute_numerics = numerics;
+  const RunResult heap = cm.run(ropts);
+  ropts.use_arena = true;
+  const RunResult arena = cm.run(ropts);
+  const std::string what = cm.model_name() + " arena";
+  expect_bit_identical(arena.output, heap.output, what);
+  EXPECT_DOUBLE_EQ(arena.latency_ms, arena.serial_ms) << what;
+  EXPECT_DOUBLE_EQ(arena.serial_ms, heap.serial_ms) << what;
+  EXPECT_DOUBLE_EQ(arena.critical_path_ms, heap.critical_path_ms) << what;
+}
+
+TEST(CompiledRun, ArenaMatchesHeapAcrossModels) {
+  const sim::Platform& deeplens = sim::platform(sim::PlatformId::kDeepLens);
+  const sim::Platform& nano = sim::platform(sim::PlatformId::kJetsonNano);
+  Rng rng(0x5eed);
+  check_arena_matches_heap(
+      compile_fast(models::build_mobilenet(rng, 64), deeplens), true);
+  check_arena_matches_heap(
+      compile_fast(models::build_squeezenet(rng, 64), deeplens), true);
+  check_arena_matches_heap(
+      compile_fast(models::build_inception_v1(rng, 64), deeplens), true);
+  check_arena_matches_heap(compile_fast(models::build_resnet50(rng, 64), nano),
+                           true);
+  check_arena_matches_heap(
+      compile_fast(models::build_fcn_resnet50(rng, 64, 1, 5), nano), true);
+  // Shapes-only is where placeholder handling matters: arena slabs are
+  // deliberately left uninitialized because no op reads them. CPU fallback
+  // adds device-copy nodes and a second execution lane.
+  check_arena_matches_heap(
+      compile_fast(models::build_ssd(rng, models::SsdBackbone::kMobileNet, 128),
+                   deeplens, {graph::OpKind::kSsdDetection}),
+      false);
+  check_arena_matches_heap(
+      compile_fast(models::build_yolov3(rng, 128, 1, 20), deeplens,
+                   {graph::OpKind::kYoloDecode, graph::OpKind::kBoxNms}),
+      false);
+}
+
+TEST(CompiledRun, PeakIntermediateBytesRespectsPlan) {
+  const sim::Platform& plat = sim::platform(sim::PlatformId::kDeepLens);
+  Rng rng(0x5eed);
+  for (CompiledModel cm :
+       {compile_fast(models::build_inception_v1(rng, 64), plat),
+        compile_fast(models::build_ssd(rng, models::SsdBackbone::kMobileNet, 128),
+                     plat, {graph::OpKind::kSsdDetection})}) {
+    const int64_t plan_bytes = cm.memory_plan().total_bytes();
+    RunOptions ropts;
+    ropts.compute_numerics = false;
+    ropts.use_arena = true;
+    const RunResult r = cm.run(ropts);
+    EXPECT_GT(r.peak_intermediate_bytes, 0) << cm.model_name();
+    EXPECT_LE(r.peak_intermediate_bytes, plan_bytes) << cm.model_name();
+    EXPECT_EQ(r.arena_bytes, plan_bytes) << cm.model_name();
+  }
+}
+
+TEST(CompiledRun, CriticalPathNeverExceedsSerialSum) {
+  const sim::Platform& plat = sim::platform(sim::PlatformId::kDeepLens);
+  Rng rng(0x5eed);
+  for (CompiledModel cm :
+       {compile_fast(models::build_inception_v1(rng, 64), plat),
+        compile_fast(models::build_mobilenet(rng, 64), plat)}) {
+    const RunResult r = cm.run(0x515, false);
+    EXPECT_DOUBLE_EQ(r.latency_ms, r.serial_ms);
+    EXPECT_LE(r.critical_path_ms, r.serial_ms * (1.0 + 1e-12));
+    EXPECT_GT(r.critical_path_ms, 0.0);
+  }
+}
+
+TEST(CompiledRun, HeterogeneousGraphOverlapsLanes) {
+  // With the YOLO decode heads on the companion CPU, decode of the shallow
+  // scale and its device copies overlap remaining GPU backbone work in the
+  // lane schedule, so the critical path must beat the serial sum strictly.
+  const sim::Platform& plat = sim::platform(sim::PlatformId::kDeepLens);
+  Rng rng(0x5eed);
+  CompiledModel cm =
+      compile_fast(models::build_yolov3(rng, 128, 1, 20), plat,
+                   {graph::OpKind::kYoloDecode, graph::OpKind::kBoxNms});
+  const RunResult r = cm.run(0x515, false);
+  EXPECT_LT(r.critical_path_ms, r.serial_ms);
+}
+
+TEST(CompiledRun, RepeatedArenaRunsAreDeterministic) {
+  const sim::Platform& plat = sim::platform(sim::PlatformId::kDeepLens);
+  Rng rng(0x5eed);
+  CompiledModel cm = compile_fast(models::build_inception_v1(rng, 64), plat);
+  RunOptions ropts;
+  ropts.compute_numerics = false;
+  ropts.use_arena = true;
+  const RunResult first = cm.run(ropts);
+  for (int i = 0; i < 3; ++i) {
+    const RunResult again = cm.run(ropts);  // reuses the serving arena
+    expect_bit_identical(again.output, first.output, "repeat run");
+    EXPECT_DOUBLE_EQ(again.latency_ms, first.latency_ms);
+    EXPECT_EQ(again.arena_bytes, first.arena_bytes);
+  }
+  // Different seeds must still produce different inputs (the arena does not
+  // leak one run's data into the next run's observable output).
+  ropts.input_seed = 0x9999;
+  ropts.compute_numerics = true;
+  const RunResult other = cm.run(ropts);
+  ropts.input_seed = 0x515;
+  const RunResult base = cm.run(ropts);
+  ASSERT_TRUE(other.output.shape() == base.output.shape());
+  EXPECT_GT(other.output.max_abs_diff(base.output), 0.0f);
+}
+
+}  // namespace
+}  // namespace igc

@@ -1,7 +1,7 @@
 // Tests for the host JIT backend: the artifact cache (hit/miss accounting,
 // concurrent compiles, corruption recovery, version invalidation) and the
 // end-to-end guarantee that JIT and reference numerics are bit-identical
-// across the model zoo, both dispatch modes, and arena on/off — with
+// across the model zoo with arena on and off — with
 // simulated latencies untouched.
 //
 // Every test that needs the host toolchain skips cleanly when none exists.
@@ -259,35 +259,25 @@ void expect_bit_identical(const CompiledModel& cm) {
   ASSERT_TRUE(cm.jit_enabled()) << cm.jit_error();
   EXPECT_GT(cm.jit_nodes_covered(), 0);
 
-  // Reference output and latency (sequential + wavefront).
+  // Reference output and latency.
   RunOptions interp;
   interp.backend = RunBackend::kInterp;
-  const RunResult ref_seq = cm.run(interp);
-  RunOptions interp_wave = interp;
-  interp_wave.mode = graph::ExecMode::kWavefront;
-  const RunResult ref_wave = cm.run(interp_wave);
+  const RunResult ref = cm.run(interp);
 
-  for (graph::ExecMode mode :
-       {graph::ExecMode::kSequential, graph::ExecMode::kWavefront}) {
-    for (bool arena : {false, true}) {
-      RunOptions jit;
-      jit.backend = RunBackend::kJit;
-      jit.mode = mode;
-      jit.use_arena = arena;
-      const RunResult r = cm.run(jit);
-      const RunResult& ref =
-          mode == graph::ExecMode::kSequential ? ref_seq : ref_wave;
-      EXPECT_EQ(r.output.max_abs_diff(ref_seq.output), 0.0f)
-          << cm.model_name() << " mode=" << static_cast<int>(mode)
-          << " arena=" << arena;
-      // Simulated time is computed from charges, never from host numerics:
-      // the JIT must not move it by a single bit.
-      EXPECT_EQ(r.latency_ms, ref.latency_ms);
-      EXPECT_EQ(r.serial_ms, ref.serial_ms);
-      EXPECT_EQ(r.critical_path_ms, ref.critical_path_ms);
-      EXPECT_EQ(r.counters.flops, ref.counters.flops);
-      EXPECT_EQ(r.counters.dram_bytes, ref.counters.dram_bytes);
-    }
+  for (bool arena : {false, true}) {
+    RunOptions jit;
+    jit.backend = RunBackend::kJit;
+    jit.use_arena = arena;
+    const RunResult r = cm.run(jit);
+    EXPECT_EQ(r.output.max_abs_diff(ref.output), 0.0f)
+        << cm.model_name() << " arena=" << arena;
+    // Simulated time is computed from charges, never from host numerics:
+    // the JIT must not move it by a single bit.
+    EXPECT_EQ(r.latency_ms, ref.latency_ms);
+    EXPECT_EQ(r.serial_ms, ref.serial_ms);
+    EXPECT_EQ(r.critical_path_ms, ref.critical_path_ms);
+    EXPECT_EQ(r.counters.flops, ref.counters.flops);
+    EXPECT_EQ(r.counters.dram_bytes, ref.counters.dram_bytes);
   }
 }
 

@@ -3,10 +3,11 @@
 //
 // The load-bearing invariants:
 //   * tracing never changes outputs — traced runs are bit-identical to
-//     untraced runs in every dispatch mode;
+//     untraced runs with and without the arena, and concurrent traced runs
+//     on one compiled model record identical spans;
 //   * the trace is a faithful decomposition of the run: category totals
 //     match the ExecResult breakdown, per-lane spans never overlap, and the
-//     last lane end-time is exactly the wavefront critical path;
+//     last lane end-time is exactly the critical path;
 //   * the Chrome export and the metrics snapshot are valid JSON (round-trip
 //     through obs::json, including from files on disk) with one track per
 //     simulated lane;
@@ -18,7 +19,9 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 #include "core/compiler.h"
@@ -135,14 +138,12 @@ TEST(Trace, CategoryTotalsMatchBreakdownAndLanesAreWellFormed) {
   obs::TraceRecorder rec;
   RunOptions ropts;
   ropts.compute_numerics = false;
-  ropts.mode = graph::ExecMode::kWavefront;
   ropts.use_arena = true;
   ropts.trace = &rec;
   const RunResult r = cm.run(ropts);
 
   ASSERT_FALSE(rec.spans().empty());
   EXPECT_EQ(rec.meta().model, cm.model_name());
-  EXPECT_EQ(rec.meta().mode, "wavefront");
   EXPECT_TRUE(rec.meta().arena);
 
   // The trace is a faithful decomposition of the breakdown.
@@ -187,12 +188,10 @@ TEST(Trace, TracedRunsAreBitIdenticalToUntraced) {
   const CompiledModel cm =
       compile_fast(models::build_inception_v1(rng, 64), plat);
 
-  for (const graph::ExecMode mode :
-       {graph::ExecMode::kSequential, graph::ExecMode::kWavefront}) {
+  for (const bool arena : {false, true}) {
     RunOptions ropts;
     ropts.input_seed = 0x717;
-    ropts.mode = mode;
-    ropts.use_arena = mode == graph::ExecMode::kWavefront;
+    ropts.use_arena = arena;
     const RunResult plain = cm.run(ropts);
 
     obs::TraceRecorder rec;
@@ -208,32 +207,56 @@ TEST(Trace, TracedRunsAreBitIdenticalToUntraced) {
   }
 }
 
-TEST(Trace, SequentialAndWavefrontTracesAgreeOnSimTime) {
-  // Both modes synthesize the same deterministic lane schedule, so the
-  // simulated spans must match node for node.
+TEST(Trace, ConcurrentTracedRunsRecordIdenticalSpans) {
+  // TSan fodder: the serving engine's pattern. Several threads trace run()
+  // calls on one compiled model, each into its own recorder, first without
+  // an arena and then each with its own serving context. Every trace must
+  // match a single-threaded one span for span.
   const sim::Platform& plat = sim::platform(sim::PlatformId::kDeepLens);
   Rng rng(0x5eed);
   const CompiledModel cm =
       compile_fast(models::build_inception_v1(rng, 64), plat);
 
-  obs::TraceRecorder seq, wave;
-  RunOptions ropts;
-  ropts.compute_numerics = false;
-  ropts.trace = &seq;
-  cm.run(ropts);
-  ropts.mode = graph::ExecMode::kWavefront;
-  ropts.trace = &wave;
-  cm.run(ropts);
+  obs::TraceRecorder ref;
+  RunOptions ref_opts;
+  ref_opts.compute_numerics = false;
+  ref_opts.trace = &ref;
+  const RunResult base = cm.run(ref_opts);
 
-  ASSERT_EQ(seq.spans().size(), wave.spans().size());
-  for (size_t i = 0; i < seq.spans().size(); ++i) {
-    const obs::TraceSpan& a = seq.spans()[i];
-    const obs::TraceSpan& b = wave.spans()[i];
-    EXPECT_EQ(a.name, b.name);
-    EXPECT_EQ(a.lane, b.lane);
-    EXPECT_EQ(a.category, b.category);
-    EXPECT_DOUBLE_EQ(a.sim_start_ms, b.sim_start_ms) << a.name;
-    EXPECT_DOUBLE_EQ(a.sim_end_ms, b.sim_end_ms) << a.name;
+  constexpr int kThreads = 4;
+  for (const bool contexts : {false, true}) {
+    std::vector<obs::TraceRecorder> recs(kThreads);
+    std::vector<RunResult> results(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        const std::unique_ptr<ServingContext> ctx = cm.make_serving_context();
+        RunOptions ropts;
+        ropts.compute_numerics = false;
+        ropts.trace = &recs[static_cast<size_t>(t)];
+        if (contexts) ropts.serving_context = ctx.get();
+        results[static_cast<size_t>(t)] = cm.run(ropts);
+      });
+    }
+    for (auto& t : threads) t.join();
+    for (int t = 0; t < kThreads; ++t) {
+      const RunResult& r = results[static_cast<size_t>(t)];
+      const obs::TraceRecorder& rec = recs[static_cast<size_t>(t)];
+      EXPECT_EQ(r.output.max_abs_diff(base.output), 0.0f);
+      EXPECT_DOUBLE_EQ(r.serial_ms, base.serial_ms);
+      EXPECT_DOUBLE_EQ(r.critical_path_ms, base.critical_path_ms);
+      EXPECT_EQ(rec.meta().arena, contexts);
+      ASSERT_EQ(rec.spans().size(), ref.spans().size());
+      for (size_t i = 0; i < ref.spans().size(); ++i) {
+        const obs::TraceSpan& a = ref.spans()[i];
+        const obs::TraceSpan& b = rec.spans()[i];
+        EXPECT_EQ(a.name, b.name);
+        EXPECT_EQ(a.lane, b.lane);
+        EXPECT_EQ(a.category, b.category);
+        EXPECT_DOUBLE_EQ(a.sim_start_ms, b.sim_start_ms) << a.name;
+        EXPECT_DOUBLE_EQ(a.sim_end_ms, b.sim_end_ms) << a.name;
+      }
+    }
   }
 }
 
@@ -246,14 +269,12 @@ TEST(Trace, ChromeExportIsValidJsonWithLaneTracks) {
   obs::TraceRecorder rec;
   RunOptions ropts;
   ropts.compute_numerics = false;
-  ropts.mode = graph::ExecMode::kWavefront;
   ropts.use_arena = true;
   ropts.trace = &rec;
   cm.run(ropts);
 
   const obs::json::Value doc = obs::json::parse(rec.chrome_trace_json());
   EXPECT_EQ(doc.at("otherData").at("model").as_string(), cm.model_name());
-  EXPECT_EQ(doc.at("otherData").at("mode").as_string(), "wavefront");
   EXPECT_TRUE(doc.at("otherData").at("arena").as_bool());
   EXPECT_EQ(doc.at("otherData").at("schema_version").as_int(), 2);
   EXPECT_GE(count_lane_tracks(doc), 3);
@@ -308,7 +329,6 @@ TEST(Metrics, DeltasIdenticalAcrossRepeatedArenaRuns) {
 
   RunOptions ropts;
   ropts.compute_numerics = false;
-  ropts.mode = graph::ExecMode::kWavefront;
   ropts.use_arena = true;
   cm.run(ropts);  // warm up: builds the plan/arena, registers instruments
 
@@ -356,11 +376,11 @@ TEST(Metrics, DeltasIdenticalAcrossRepeatedArenaRuns) {
   EXPECT_EQ(d1.histograms.at("sim.launch_occupancy_pct").count,
             d1.counters.at("sim.launches"));
 
-  // The deprecated alias instruments were removed after their deprecation
-  // window; only the canonical names (exec.node_ms, exec.ready_queue_peak,
+  // The deprecated alias instruments and the retired exec.ready_queue_peak
+  // gauge are never recorded; only the canonical names (exec.node_ms,
   // tune.trials) may appear in a post-run snapshot.
-  for (const char* dead :
-       {"exec.node_us", "sched.ready_queue_peak", "tuner.trials"}) {
+  for (const char* dead : {"exec.node_us", "sched.ready_queue_peak",
+                           "exec.ready_queue_peak", "tuner.trials"}) {
     EXPECT_EQ(s2.counters.count(dead), 0u) << dead;
     EXPECT_EQ(s2.gauges.count(dead), 0u) << dead;
     EXPECT_EQ(s2.histograms.count(dead), 0u) << dead;
@@ -381,7 +401,6 @@ TEST(Counters, ConserveAcrossSpansAndAgreeWithTheBreakdown) {
   obs::TraceRecorder rec;
   RunOptions ropts;
   ropts.compute_numerics = false;
-  ropts.mode = graph::ExecMode::kWavefront;
   ropts.trace = &rec;
   const RunResult r = cm.run(ropts);
 
@@ -572,7 +591,6 @@ TEST(ObsEndToEnd, TraceAndMetricsFilesRoundTripThroughTheParser) {
   obs::TraceRecorder rec;
   RunOptions ropts;
   ropts.compute_numerics = false;
-  ropts.mode = graph::ExecMode::kWavefront;
   ropts.use_arena = true;
   ropts.trace = &rec;
   cm.run(ropts);

@@ -1,10 +1,12 @@
 // Tests for the pass manager: named pipelines with per-pass metrics,
 // idempotence of every registered pass, constant pre-computing, dead-node
-// compaction (bit-identical outputs, fully-planned memory), and compiling
-// with any single pass disabled.
+// compaction (bit-identical outputs, fully-planned memory, compact graphs
+// from any pipeline), compiling with any single pass disabled, and
+// concurrent runs on one compiled model.
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <memory>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -171,8 +173,7 @@ TEST(Passes, DeadNodeEliminationCompacts) {
   EXPECT_EQ(removed, 3);
   EXPECT_EQ(g.num_nodes(), before - removed);
   g.validate();
-  const auto live = g.live_mask();
-  for (bool b : live) EXPECT_TRUE(b);
+  EXPECT_EQ(graph::dead_node_elimination_pass(g), 0);  // already compact
   // Every live node gets a planned buffer after compaction.
   const graph::MemoryPlan plan = graph::plan_memory(g);
   for (int buf : plan.buffer_of_node) EXPECT_GE(buf, 0);
@@ -180,7 +181,7 @@ TEST(Passes, DeadNodeEliminationCompacts) {
 
 TEST(Passes, CompactionPreservesOutputsAcrossModels) {
   // The default pipeline (with dce) and a dce-less pipeline must produce
-  // bit-identical outputs and timing in every executor mode: compaction
+  // bit-identical outputs and timing with and without the arena: compaction
   // renumbers ids but keeps names, and all executor randomness is seeded
   // from names.
   const sim::Platform& plat = sim::platform(sim::PlatformId::kDeepLens);
@@ -207,26 +208,18 @@ TEST(Passes, CompactionPreservesOutputsAcrossModels) {
         compile_fast(c.build(rng_b), plat, [](CompileOptions& o) {
           o.disabled_passes = {"dce"};
         });
-    for (const graph::ExecMode mode :
-         {graph::ExecMode::kSequential, graph::ExecMode::kWavefront}) {
-      for (const bool arena : {false, true}) {
-        RunOptions ropts;
-        ropts.input_seed = 0x515;
-        ropts.compute_numerics = c.numerics;
-        ropts.mode = mode;
-        ropts.use_arena = arena;
-        const RunResult a = with_dce.run(ropts);
-        const RunResult b = without_dce.run(ropts);
-        const std::string what =
-            with_dce.model_name() +
-            (mode == graph::ExecMode::kWavefront ? " wavefront"
-                                                 : " sequential") +
-            (arena ? "+arena" : "");
-        ASSERT_TRUE(a.output.shape() == b.output.shape()) << what;
-        EXPECT_EQ(a.output.max_abs_diff(b.output), 0.0f) << what;
-        EXPECT_DOUBLE_EQ(a.serial_ms, b.serial_ms) << what;
-        EXPECT_DOUBLE_EQ(a.critical_path_ms, b.critical_path_ms) << what;
-      }
+    for (const bool arena : {false, true}) {
+      RunOptions ropts;
+      ropts.input_seed = 0x515;
+      ropts.compute_numerics = c.numerics;
+      ropts.use_arena = arena;
+      const RunResult a = with_dce.run(ropts);
+      const RunResult b = without_dce.run(ropts);
+      const std::string what = with_dce.model_name() + (arena ? " arena" : "");
+      ASSERT_TRUE(a.output.shape() == b.output.shape()) << what;
+      EXPECT_EQ(a.output.max_abs_diff(b.output), 0.0f) << what;
+      EXPECT_DOUBLE_EQ(a.serial_ms, b.serial_ms) << what;
+      EXPECT_DOUBLE_EQ(a.critical_path_ms, b.critical_path_ms) << what;
     }
     // The compacted plan never leaves an unplanned slot.
     const graph::MemoryPlan plan = with_dce.memory_plan();
@@ -252,9 +245,10 @@ TEST(Passes, DisablingAnySinglePassStillCompilesAndRuns) {
   }
 }
 
-TEST(Passes, PassStatsCountLiveNodesOnly) {
-  // With the pipeline cut before compaction/placement, dead fold/fuse
-  // markers remain in the node list; the device counts must ignore them.
+TEST(Passes, CustomPipelineStillCompilesCompact) {
+  // Cut before dce/place, fold and fuse leave bypassed markers behind;
+  // compile() compacts anyway, so every node gets a planned buffer and the
+  // device counts cover every node.
   Rng rng(0x5eed);
   const sim::Platform& plat = sim::platform(sim::PlatformId::kDeepLens);
   const CompiledModel cm =
@@ -265,32 +259,43 @@ TEST(Passes, PassStatsCountLiveNodesOnly) {
   const graph::PassStats& st = cm.pass_stats();
   EXPECT_GT(st.folded_scale_shifts, 0);
   EXPECT_GT(st.fused_activations, 0);
-  int live_nodes = 0;
-  // CompiledModel does not expose the graph; count via the memory plan,
-  // whose -1 slots are exactly the dead markers.
-  for (int buf : cm.memory_plan().buffer_of_node) live_nodes += buf >= 0;
-  EXPECT_EQ(st.gpu_nodes + st.cpu_nodes, live_nodes);
+  EXPECT_EQ(st.removed_dead_nodes,
+            st.folded_scale_shifts + st.fused_activations);
+  const graph::MemoryPlan plan = cm.memory_plan();
+  for (int buf : plan.buffer_of_node) EXPECT_GE(buf, 0);
+  EXPECT_EQ(st.gpu_nodes + st.cpu_nodes,
+            static_cast<int>(plan.buffer_of_node.size()));
+  EXPECT_GT(cm.run().latency_ms, 0.0);
 }
 
-TEST(Passes, ConcurrentWavefrontRunsWithCompactedGraph) {
-  // TSan fodder: arena-less wavefront runs on one compiled model from
-  // several threads; compaction must not introduce shared mutable state.
+TEST(Passes, ConcurrentRunsOnOneCompiledModel) {
+  // TSan fodder: the serving engine's pattern. Several threads call run()
+  // on one compiled model, first without an arena, then each with its own
+  // serving context; neither may introduce shared mutable state.
   Rng rng(0x5eed);
   const sim::Platform& plat = sim::platform(sim::PlatformId::kDeepLens);
   const CompiledModel cm =
       compile_fast(models::build_squeezenet(rng, 64, 1, 10), plat);
-  RunOptions ropts;
-  ropts.mode = graph::ExecMode::kWavefront;
-  const RunResult base = cm.run(ropts);
-  std::vector<std::thread> threads;
-  std::vector<RunResult> results(4);
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&, t] { results[static_cast<size_t>(t)] = cm.run(ropts); });
-  }
-  for (auto& t : threads) t.join();
-  for (const RunResult& r : results) {
-    EXPECT_EQ(r.output.max_abs_diff(base.output), 0.0f);
-    EXPECT_DOUBLE_EQ(r.latency_ms, base.latency_ms);
+  const RunResult base = cm.run();
+  constexpr int kThreads = 4;
+  for (const bool contexts : {false, true}) {
+    std::vector<std::thread> threads;
+    std::vector<RunResult> results(kThreads);
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        const std::unique_ptr<ServingContext> ctx = cm.make_serving_context();
+        RunOptions ropts;
+        if (contexts) ropts.serving_context = ctx.get();
+        for (int i = 0; i < 2; ++i) {
+          results[static_cast<size_t>(t)] = cm.run(ropts);
+        }
+      });
+    }
+    for (auto& t : threads) t.join();
+    for (const RunResult& r : results) {
+      EXPECT_EQ(r.output.max_abs_diff(base.output), 0.0f);
+      EXPECT_DOUBLE_EQ(r.latency_ms, base.latency_ms);
+    }
   }
 }
 

@@ -6,7 +6,7 @@
 //     associatively; concurrent observers lose nothing;
 //   * TelemetrySampler — deterministic series under an injected clock, ring
 //     eviction, idempotent start/stop, and clean behavior while concurrent
-//     wavefront runs hammer the registry (the TSan target);
+//     runs on one compiled model hammer the registry (the TSan target);
 //   * Prometheus exporter — name/label sanitization, golden exposition
 //     format, bucket monotonicity, and an end-to-end socket scrape of the
 //     /metrics and /healthz endpoints;
@@ -22,6 +22,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -296,10 +297,12 @@ TEST(TelemetrySampler, StartStopAreIdempotentAndRestartable) {
   EXPECT_FALSE(sampler.samples().empty());
 }
 
-TEST(TelemetrySampler, RunsCleanlyDuringConcurrentWavefrontRuns) {
+TEST(TelemetrySampler, RunsCleanlyDuringConcurrentRuns) {
   // The TSan target: the background sampler snapshots the global registry
-  // while several threads run the wavefront executor (which records exec.*,
-  // run.*, arena.* metrics) — no torn samples, no races, valid JSON out.
+  // while several threads call run() on one compiled model (recording
+  // exec.*, run.*, arena.* metrics), half without an arena and half through
+  // their own serving contexts — the engine's pattern. No torn samples, no
+  // races, valid JSON out.
   const sim::Platform& plat = sim::platform(sim::PlatformId::kDeepLens);
   Rng rng(0x5eed);
   CompileOptions copts;
@@ -313,12 +316,12 @@ TEST(TelemetrySampler, RunsCleanlyDuringConcurrentWavefrontRuns) {
   sampler.start();
 
   std::vector<std::thread> threads;
-  for (int t = 0; t < 3; ++t) {
-    threads.emplace_back([&cm] {
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&cm, t] {
+      const std::unique_ptr<ServingContext> ctx = cm.make_serving_context();
       RunOptions ropts;
       ropts.compute_numerics = false;
-      ropts.mode = graph::ExecMode::kWavefront;
-      ropts.use_arena = true;
+      if (t % 2 == 1) ropts.serving_context = ctx.get();
       for (int i = 0; i < 3; ++i) cm.run(ropts);
     });
   }
@@ -689,15 +692,15 @@ TEST(BenchDiff, HigherIsBetterMetricRegressesDownward) {
 
 TEST(BenchDiff, UnmatchedRowsAreReportedNotFatal) {
   const std::string baseline = serving_row("sequential", 1.0, 1000.0) +
-                               serving_row("wavefront", 2.0, 500.0);
+                               serving_row("retired", 2.0, 500.0);
   const std::string candidate = serving_row("sequential", 1.0, 1000.0) +
-                                serving_row("wavefront+arena", 0.5, 2000.0);
+                                serving_row("sequential+arena", 0.5, 2000.0);
   const auto result = obs::benchdiff::diff(baseline, candidate, {});
   EXPECT_TRUE(result.ok());
   EXPECT_EQ(result.matched, 1);
   ASSERT_EQ(result.baseline_only.size(), 1u);
   ASSERT_EQ(result.candidate_only.size(), 1u);
-  EXPECT_NE(result.baseline_only[0].find("wavefront"), std::string::npos);
+  EXPECT_NE(result.baseline_only[0].find("retired"), std::string::npos);
 }
 
 TEST(BenchDiff, ThroughputDirectionTokens) {
