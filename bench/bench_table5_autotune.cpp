@@ -69,20 +69,22 @@ int main() {
       const auto layouts =
           graphtune::tune_graph_layouts(m.graph, platform.gpu, db, topts);
 
-      graph::ExecOptions before_opts;
-      before_opts.compute_numerics = false;
-      before_opts.use_tuned_configs = false;  // untuned template defaults
+      // Before: the hand-written templates in NCHW (no database, no
+      // layouts). After: the tuned schedules under the graph tuner's layouts.
+      const auto templates =
+          graphtune::resolve_conv_schedules(m.graph, platform.gpu, {}, nullptr);
+      const auto tuned = graphtune::resolve_conv_schedules(
+          m.graph, platform.gpu, layouts.layout_of_conv, &db);
+      graph::ExecOptions opts;
+      opts.compute_numerics = false;
+      opts.conv_schedules = &templates;
       Rng r1(0xbe5c);
       const double before =
-          graph::execute(m.graph, platform, before_opts, r1).latency_ms;
-
-      graph::ExecOptions after_opts;
-      after_opts.compute_numerics = false;
-      after_opts.db = &db;
-      after_opts.conv_layout_block = layouts.layout_of_conv;
+          graph::execute(m.graph, platform, opts, r1).latency_ms;
+      opts.conv_schedules = &tuned;
       Rng r2(0xbe5c);
       const double after =
-          graph::execute(m.graph, platform, after_opts, r2).latency_ms;
+          graph::execute(m.graph, platform, opts, r2).latency_ms;
 
       const PaperRow& p = kPaper[row_idx++];
       std::printf("%-20s %-16s | %10.2f %10.2f %8.2f || %10.2f %10.2f %8.2f\n",

@@ -45,10 +45,11 @@ inline double run_ours(models::Model& model, const sim::Platform& platform,
   topts.n_trials = tune_trials;
   const graphtune::GraphTuneResult layouts =
       graphtune::tune_graph_layouts(model.graph, platform.gpu, db, topts);
+  const auto schedules = graphtune::resolve_conv_schedules(
+      model.graph, platform.gpu, layouts.layout_of_conv, &db);
   graph::ExecOptions opts;
   opts.compute_numerics = false;
-  opts.db = &db;
-  opts.conv_layout_block = layouts.layout_of_conv;
+  opts.conv_schedules = &schedules;
   Rng input_rng(0xbe5c);
   const graph::ExecResult r =
       graph::execute(model.graph, platform, opts, input_rng);

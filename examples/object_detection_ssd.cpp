@@ -29,10 +29,11 @@ int main() {
     graph::optimize(m.graph, cpu_ops);
     const auto layouts =
         graphtune::tune_graph_layouts(m.graph, platform.gpu, db, topts);
+    const auto schedules = graphtune::resolve_conv_schedules(
+        m.graph, platform.gpu, layouts.layout_of_conv, &db);
     graph::ExecOptions opts;
     opts.compute_numerics = false;  // synthetic detection inputs
-    opts.db = &db;
-    opts.conv_layout_block = layouts.layout_of_conv;
+    opts.conv_schedules = &schedules;
     opts.optimized_vision_ops = vision_opt;
     Rng in_rng(2);
     const auto r = graph::execute(m.graph, platform, opts, in_rng);

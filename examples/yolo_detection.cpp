@@ -25,10 +25,11 @@ int main() {
   const auto layouts =
       graphtune::tune_graph_layouts(m.graph, platform.gpu, db, topts);
 
+  const auto schedules = graphtune::resolve_conv_schedules(
+      m.graph, platform.gpu, layouts.layout_of_conv, &db);
   graph::ExecOptions opts;
   opts.compute_numerics = false;
-  opts.db = &db;
-  opts.conv_layout_block = layouts.layout_of_conv;
+  opts.conv_schedules = &schedules;
   Rng in_rng(13);
   const auto r = graph::execute(m.graph, platform, opts, in_rng);
 

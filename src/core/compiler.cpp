@@ -10,7 +10,6 @@
 #include "graphtune/graph_tuner.h"
 #include "obs/metrics.h"
 #include "ops/nn/conv2d.h"
-#include "tune/conv_tuner.h"
 
 namespace igc {
 
@@ -45,24 +44,9 @@ CompiledModel compile(models::Model model, const sim::Platform& platform,
     cm.layouts_ = layouts.layout_of_conv;
   }
 
-  // Resolve every conv's schedule once, here, so serving runs skip the
-  // per-dispatch database lookup. Content matches what the executor would
-  // resolve per run, so simulated latencies are unchanged.
-  for (int id : cm.graph_.conv_node_ids()) {
-    const graph::Node& n = cm.graph_.node(id);
-    const int block = [&] {
-      auto it = cm.layouts_.find(id);
-      return it == cm.layouts_.end() ? 1 : it->second;
-    }();
-    tune::ScheduleConfig cfg;
-    if (cm.tuned_) {
-      cfg = tune::lookup_or_default(n.conv, platform.gpu, block, &cm.db_);
-    } else {
-      cfg = ops::conv2d_manual_schedule(n.conv, platform.gpu);
-      cfg.set("layout_block", block);
-    }
-    cm.conv_schedules_.emplace(id, std::move(cfg));
-  }
+  // Resolve every conv's schedule once, here, so runs never look one up.
+  cm.conv_schedules_ = graphtune::resolve_conv_schedules(
+      cm.graph_, platform.gpu, cm.layouts_, cm.tuned_ ? &cm.db_ : nullptr);
 
   // Plan memory once. Buffer assignment depends only on liveness, so every
   // dynamic-shape binding reuses this plan with re-resolved sizes — zero
@@ -96,9 +80,6 @@ RunResult CompiledModel::run(const RunOptions& opts) const {
 
   graph::ExecOptions eopts;
   eopts.compute_numerics = opts.compute_numerics;
-  eopts.use_tuned_configs = tuned_;
-  eopts.db = &db_;
-  eopts.conv_layout_block = layouts_;
   eopts.conv_schedules =
       variant != nullptr ? &variant->conv_schedules : &conv_schedules_;
   eopts.use_arena = opts.use_arena;
@@ -238,23 +219,10 @@ const CompiledModel::ShapeVariant* CompiledModel::resolve_variant(
       v->plan.unshared_bytes += n.out_shape.numel() * 4;
     }
   }
-  // Conv schedules for the rebound workloads, resolved with the same logic
-  // compile() used (lookup only — no tuning trials happen here).
-  for (int id : v->graph.conv_node_ids()) {
-    const graph::Node& n = v->graph.node(id);
-    const int block = [&] {
-      auto bit = layouts_.find(id);
-      return bit == layouts_.end() ? 1 : bit->second;
-    }();
-    tune::ScheduleConfig cfg;
-    if (tuned_) {
-      cfg = tune::lookup_or_default(n.conv, platform_->gpu, block, &db_);
-    } else {
-      cfg = ops::conv2d_manual_schedule(n.conv, platform_->gpu);
-      cfg.set("layout_block", block);
-    }
-    v->conv_schedules.emplace(id, std::move(cfg));
-  }
+  // Conv schedules for the rebound workloads, by the same rule compile()
+  // used (lookup only — no tuning trials happen here).
+  v->conv_schedules = graphtune::resolve_conv_schedules(
+      v->graph, platform_->gpu, layouts_, tuned_ ? &db_ : nullptr);
   const ShapeVariant* raw = v.get();
   serving_->variants.emplace(key, std::move(v));
   return raw;
@@ -312,12 +280,7 @@ std::map<std::string, std::string> CompiledModel::generated_sources() const {
     if (p.groups != 1) continue;  // IR lowering covers non-grouped conv
     const std::string key = p.workload_key();
     if (out.count(key)) continue;
-    const int block = [&] {
-      auto it = layouts_.find(id);
-      return it == layouts_.end() ? 1 : it->second;
-    }();
-    tune::ScheduleConfig cfg =
-        tune::lookup_or_default(p, platform_->gpu, block, &db_);
+    tune::ScheduleConfig cfg = conv_schedules_.at(id);
     // The IR lowering tiles along oc/ow; fall back to safe divisors if the
     // tuned tiles do not divide (remainder handling is a codegen TODO).
     auto fix_tile = [&](const char* knob, int64_t extent) {

@@ -240,7 +240,8 @@ class CompiledModel {
   std::string graph_summary() const { return graph_.summary(); }
 
   /// OpenCL or CUDA source (per the platform's API) for every distinct
-  /// tuned convolution kernel, keyed by workload.
+  /// convolution kernel, keyed by workload, under the schedule the model
+  /// runs it with (tuned, or the template when compiled with skip_tuning).
   std::map<std::string, std::string> generated_sources() const;
 
   /// True when compile() built a host-JIT module for this model (backend
@@ -302,8 +303,9 @@ class CompiledModel {
   tune::TuneDb db_;
   std::map<int, int> layouts_;
   bool tuned_ = true;
-  /// Conv schedules resolved once at compile() time (ExecOptions::
-  /// conv_schedules), so serving runs skip the per-dispatch db lookup.
+  /// Conv schedules resolved once at compile() time by
+  /// graphtune::resolve_conv_schedules (ExecOptions::conv_schedules); the
+  /// seed binding runs them and generated_sources() emits them.
   std::map<int, tune::ScheduleConfig> conv_schedules_;
   /// Host-JIT dispatch table (null unless compiled with Backend::kJit and a
   /// working toolchain).

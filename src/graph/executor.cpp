@@ -19,7 +19,6 @@
 #include "ops/vision/yolo.h"
 #include "sim/simulator.h"
 #include "sim/timing_model.h"
-#include "tune/conv_tuner.h"
 
 namespace igc::graph {
 namespace {
@@ -207,11 +206,20 @@ class ExecutorImpl {
   }
 
  private:
-  /// Arena invariants, checked up front so misuse fails with a clear
-  /// igc::Error instead of a deep assertion: use_arena takes the
-  /// caller-provided (arena, plan) pair together or not at all, and a
-  /// provided plan must have been computed from this graph.
+  /// Option invariants, checked up front so misuse fails with a clear
+  /// igc::Error instead of a deep assertion: every conv node has a resolved
+  /// schedule; use_arena takes the caller-provided (arena, plan) pair
+  /// together or not at all, and a provided plan must have been computed
+  /// from this graph.
   void validate_options() const {
+    IGC_CHECK(opts_.conv_schedules != nullptr)
+        << "ExecOptions: conv_schedules is required — build it with "
+           "graphtune::resolve_conv_schedules";
+    for (const Node& n : g_.nodes()) {
+      IGC_CHECK(!n.is_conv() || opts_.conv_schedules->count(n.id) != 0)
+          << "ExecOptions: conv_schedules has no schedule for conv node "
+          << n.name;
+    }
     if (!opts_.use_arena) return;
     IGC_CHECK(!(opts_.arena != nullptr && opts_.plan == nullptr))
         << "ExecOptions: use_arena with an arena but no plan — pass the "
@@ -969,32 +977,11 @@ class ExecutorImpl {
   }
 
   void exec_conv(NodeCtx& cx, const Node& n) {
-    const int block = [&] {
-      auto it = opts_.conv_layout_block.find(n.id);
-      return it == opts_.conv_layout_block.end() ? 1 : it->second;
-    }();
+    // Validated up front: every conv node has its schedule, and the
+    // schedule's layout_block knob is the layout the conv runs in.
+    const tune::ScheduleConfig& cfg = opts_.conv_schedules->at(n.id);
+    const int block = static_cast<int>(cfg.get_or("layout_block", 1));
     charge_layout_edges(cx, n, block);
-    // Schedule resolution order: the pre-resolved per-node map (no string
-    // key building on the hot path), then the tuning database, then the
-    // hand-written template (Table 5 Before). All three agree on content —
-    // the map is just the lookup hoisted to compile time.
-    const tune::ScheduleConfig* pre = nullptr;
-    if (opts_.conv_schedules != nullptr) {
-      auto it = opts_.conv_schedules->find(n.id);
-      if (it != opts_.conv_schedules->end()) pre = &it->second;
-    }
-    tune::ScheduleConfig looked_up;
-    if (pre == nullptr) {
-      looked_up =
-          opts_.use_tuned_configs
-              ? tune::lookup_or_default(n.conv, platform_.gpu, block, opts_.db)
-              : [&] {
-                  auto c = ops::conv2d_manual_schedule(n.conv, platform_.gpu);
-                  c.set("layout_block", block);
-                  return c;
-                }();
-    }
-    const tune::ScheduleConfig& cfg = pre != nullptr ? *pre : looked_up;
     if (opts_.trace != nullptr) cx.schedule = cfg.str();
     if (n.place == Place::kCpu) {
       cx.clock.charge_cpu(platform_.cpu, n.conv.flops(), n.conv.min_bytes(),

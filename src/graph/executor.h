@@ -37,7 +37,7 @@
 #include "sim/clock.h"
 #include "sim/device_spec.h"
 #include "tensor/arena.h"
-#include "tune/tunedb.h"
+#include "tune/config.h"
 
 namespace igc::codegen::jit {
 struct DispatchTable;
@@ -55,11 +55,14 @@ struct ExecOptions {
   bool compute_numerics = true;
   /// Sec. 3.1 optimizations on vision ops; off = Table 4 "Before".
   bool optimized_vision_ops = true;
-  /// Use tuned schedules from `db` for conv2d; off = Table 5 "Before".
-  bool use_tuned_configs = true;
-  const tune::TuneDb* db = nullptr;
-  /// Graph-tuner layout choice per conv node id (block size, 1 = NCHW).
-  std::map<int, int> conv_layout_block;
+  /// The schedule each conv node runs, keyed by node id — required, and
+  /// must cover every conv node (execute() throws igc::Error otherwise).
+  /// Build it with graphtune::resolve_conv_schedules: a tuning database
+  /// gives the tuned schedules, a null one the hand-written templates
+  /// (Table 5 "Before"). Each schedule's `layout_block` knob is the
+  /// activation layout its conv runs in (1 = NCHW); layout transforms are
+  /// charged where neighbouring blocks differ.
+  const std::map<int, tune::ScheduleConfig>* conv_schedules = nullptr;
 
   /// Back node outputs with a plan_memory()-sized buffer arena instead of
   /// fresh heap tensors. When `arena` is null a private arena is built for
@@ -79,11 +82,6 @@ struct ExecOptions {
   /// null) take the reference path. Simulated charges and counters are
   /// unaffected either way.
   const codegen::jit::DispatchTable* jit = nullptr;
-  /// Pre-resolved conv schedule per node id (CompiledModel fills this at
-  /// compile time). Replaces the per-dispatch tuning-database lookup — and
-  /// its workload-key string building — on the serving hot path; nodes
-  /// missing from the map fall back to the lookup.
-  const std::map<int, tune::ScheduleConfig>* conv_schedules = nullptr;
 
   /// When set, one TraceSpan per executed node is appended to this recorder
   /// (simulated lane windows, host dispatch times, category, shapes, bytes,

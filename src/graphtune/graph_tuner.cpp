@@ -164,4 +164,16 @@ GraphTuneResult tune_graph_layouts(const graph::Graph& g,
   return result;
 }
 
+std::map<int, tune::ScheduleConfig> resolve_conv_schedules(
+    const graph::Graph& g, const sim::DeviceSpec& dev,
+    const std::map<int, int>& layouts, const tune::TuneDb* db) {
+  std::map<int, tune::ScheduleConfig> out;
+  for (int id : g.conv_node_ids()) {
+    auto it = layouts.find(id);
+    const int block = it == layouts.end() ? 1 : it->second;
+    out.emplace(id, tune::lookup_or_default(g.node(id).conv, dev, block, db));
+  }
+  return out;
+}
+
 }  // namespace igc::graphtune

@@ -50,4 +50,14 @@ GraphTuneResult tune_graph_layouts(const graph::Graph& g,
                                    tune::TuneDb& db,
                                    const tune::TuneOptions& opts = {});
 
+/// The one rule for which schedule each conv node runs: its tuned config
+/// from `db` under the layout block `layouts` chose for it (1 when absent),
+/// or the hand-written template when `db` is null or has no record (Table 5
+/// "Before"). Either way the config carries its `layout_block` knob, which
+/// is what the executor runs the conv in. Keyed by conv node id; this is
+/// the map graph::ExecOptions::conv_schedules requires.
+std::map<int, tune::ScheduleConfig> resolve_conv_schedules(
+    const graph::Graph& g, const sim::DeviceSpec& dev,
+    const std::map<int, int>& layouts, const tune::TuneDb* db);
+
 }  // namespace igc::graphtune

@@ -16,8 +16,10 @@ TuneRecord tune_conv2d(const ops::Conv2dParams& p, const sim::DeviceSpec& dev,
                        int layout_block, TuneDb& db,
                        const TuneOptions& opts = {});
 
-/// Looks up the tuned config for a workload; falls back to the template
-/// default when the database has no entry.
+/// Looks up the tuned config for a workload under `layout_block`; falls back
+/// to the template default when `db` is null or has no entry. Either config
+/// carries `layout_block`. Graphs resolve every conv through
+/// graphtune::resolve_conv_schedules, which calls this.
 ScheduleConfig lookup_or_default(const ops::Conv2dParams& p,
                                  const sim::DeviceSpec& dev, int layout_block,
                                  const TuneDb* db);

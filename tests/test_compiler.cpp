@@ -70,6 +70,43 @@ TEST(Compiler, WarmDatabaseSkipsSearch) {
                    second.run(1, false).latency_ms);
 }
 
+TEST(Compiler, SkipTuningEmitsTheTemplatesItRuns) {
+  // A warm database must not leak into a skip_tuning compile: its kernel
+  // sources and its latency both come from the hand-written templates, the
+  // same as a cold skip_tuning compile.
+  const auto& plat = sim::platform(sim::PlatformId::kJetsonNano);
+  CompileOptions tuned_opts;
+  tuned_opts.tune_trials = 8;
+  Rng rng(8);
+  const CompiledModel tuned =
+      compile(models::build_mobilenet(rng, 64, 1, 10), plat, tuned_opts);
+  CompileOptions cold_opts;
+  cold_opts.skip_tuning = true;
+  Rng rng2(8);
+  const CompiledModel cold =
+      compile(models::build_mobilenet(rng2, 64, 1, 10), plat, cold_opts);
+  CompileOptions warm_opts = cold_opts;
+  warm_opts.warm_db = &tuned.tune_db();
+  Rng rng3(8);
+  const CompiledModel warm =
+      compile(models::build_mobilenet(rng3, 64, 1, 10), plat, warm_opts);
+
+  // Kernels whose source differs from the cold compile's.
+  const auto cold_srcs = cold.generated_sources();
+  const auto differing = [&](const CompiledModel& cm) {
+    int n = 0;
+    for (const auto& [key, src] : cm.generated_sources()) {
+      n += cold_srcs.count(key) == 0 || cold_srcs.at(key) != src;
+    }
+    return n;
+  };
+  EXPECT_GT(differing(tuned), 0);  // the warm records are not templates
+  EXPECT_EQ(differing(warm), 0);
+  EXPECT_EQ(warm.generated_sources().size(), cold_srcs.size());
+  EXPECT_DOUBLE_EQ(warm.run(1, false).latency_ms,
+                   cold.run(1, false).latency_ms);
+}
+
 TEST(Compiler, CpuFallbackOptionPlacesOps) {
   Rng rng(5);
   const auto& plat = sim::platform(sim::PlatformId::kDeepLens);

@@ -1,8 +1,8 @@
 // End-to-end executor tests: numerical equivalence across optimization
 // passes, heterogeneous fallback, tuned-vs-untuned timing, the vision-op
-// optimization switch, the compactness contract, and the plan-backed arena
-// (bit-identical to heap runs, peak within the plan) with both simulated
-// time models.
+// optimization switch, the compactness contract, the required per-node conv
+// schedule map, and the plan-backed arena (bit-identical to heap runs, peak
+// within the plan) with both simulated time models.
 #include <gtest/gtest.h>
 
 #include "core/compiler.h"
@@ -11,6 +11,7 @@
 #include "graph/executor.h"
 #include "graph/memory_planner.h"
 #include "graph/passes.h"
+#include "graphtune/graph_tuner.h"
 #include "models/common.h"
 #include "models/models.h"
 #include "ops/vision/nms.h"
@@ -38,8 +39,18 @@ Graph small_net(Rng& rng) {
   return g;
 }
 
-ExecResult run(const Graph& g, PlatformId plat, const ExecOptions& opts,
+/// The hand-written template schedules in NCHW for every conv of `g`.
+std::map<int, tune::ScheduleConfig> templates(const Graph& g,
+                                              PlatformId plat) {
+  return graphtune::resolve_conv_schedules(g, sim::platform(plat).gpu, {},
+                                           nullptr);
+}
+
+/// Runs `g`; options without conv schedules get the templates.
+ExecResult run(const Graph& g, PlatformId plat, ExecOptions opts,
                uint64_t seed = 99) {
+  const auto schedules = templates(g, plat);
+  if (opts.conv_schedules == nullptr) opts.conv_schedules = &schedules;
   Rng rng(seed);
   return execute(g, sim::platform(plat), opts, rng);
 }
@@ -99,10 +110,11 @@ TEST(Executor, TunedConfigsBeatDefaults) {
   for (int id : g.conv_node_ids()) {
     tune::tune_conv2d(g.node(id).conv, plat.gpu, 1, db, topts);
   }
+  const auto tuned_schedules =
+      graphtune::resolve_conv_schedules(g, plat.gpu, {}, &db);
   ExecOptions untuned;
-  untuned.use_tuned_configs = false;
   ExecOptions tuned;
-  tuned.db = &db;
+  tuned.conv_schedules = &tuned_schedules;
   const ExecResult a = run(g, PlatformId::kJetsonNano, untuned);
   const ExecResult b = run(g, PlatformId::kJetsonNano, tuned);
   EXPECT_LT(b.conv_ms, a.conv_ms);
@@ -218,13 +230,15 @@ TEST(Executor, LayoutBlocksChargeTransforms) {
   optimize(g);
   const auto convs = g.conv_node_ids();
   ASSERT_GE(convs.size(), 2u);
+  // Alternate blocks so every conv edge needs a transform.
+  std::map<int, int> layouts;
+  int flip = 0;
+  for (int id : convs) layouts[id] = (flip++ % 2 == 0) ? 8 : 1;
+  const auto blocked_schedules = graphtune::resolve_conv_schedules(
+      g, sim::platform(PlatformId::kDeepLens).gpu, layouts, nullptr);
   ExecOptions plain;
   ExecOptions blocked;
-  // Alternate blocks so every conv edge needs a transform.
-  int flip = 0;
-  for (int id : convs) {
-    blocked.conv_layout_block[id] = (flip++ % 2 == 0) ? 8 : 1;
-  }
+  blocked.conv_schedules = &blocked_schedules;
   const ExecResult a = run(g, PlatformId::kDeepLens, plain);
   const ExecResult b = run(g, PlatformId::kDeepLens, blocked);
   int transforms = 0;
@@ -233,6 +247,27 @@ TEST(Executor, LayoutBlocksChargeTransforms) {
   }
   EXPECT_GT(transforms, 0);
   EXPECT_LT(a.output.max_abs_diff(b.output), 1e-6f);
+}
+
+TEST(Executor, RequiresAScheduleForEveryConvNode) {
+  // No per-dispatch fallback: a missing map, or a map that misses one conv
+  // node, is a caller error on the heap and the arena path alike.
+  Rng rng(11);
+  Graph g = small_net(rng);
+  optimize(g);
+  const sim::Platform& plat = sim::platform(PlatformId::kDeepLens);
+  auto partial = templates(g, PlatformId::kDeepLens);
+  ASSERT_GE(partial.size(), 2u);
+  partial.erase(partial.begin());
+  for (const bool arena : {false, true}) {
+    ExecOptions opts;
+    opts.use_arena = arena;
+    Rng r1(1);
+    EXPECT_THROW(execute(g, plat, opts, r1), Error) << "arena " << arena;
+    opts.conv_schedules = &partial;
+    Rng r2(1);
+    EXPECT_THROW(execute(g, plat, opts, r2), Error) << "arena " << arena;
+  }
 }
 
 TEST(Executor, RejectsGraphWithUnreachableNode) {
@@ -261,7 +296,9 @@ TEST(Executor, BuildsLocalArenaWhenNoneProvided) {
   optimize(m.graph);
   const sim::Platform& plat = sim::platform(PlatformId::kDeepLens);
 
+  const auto schedules = templates(m.graph, PlatformId::kDeepLens);
   ExecOptions opts;
+  opts.conv_schedules = &schedules;
   Rng rng_a(0x11);
   const ExecResult plain = execute(m.graph, plat, opts, rng_a);
 

@@ -10,6 +10,7 @@
 #include "graph/executor.h"
 #include "graph/memory_planner.h"
 #include "graph/passes.h"
+#include "graphtune/graph_tuner.h"
 #include "models/common.h"
 #include "ops/nn/conv2d.h"
 #include "ops/vision/nms.h"
@@ -89,11 +90,17 @@ TEST_P(GraphFuzz, PassesPreserveNumericsAndPlannerIsValid) {
   Graph optimized = random_graph(r2, num_ops);
   graph::optimize(optimized);
 
-  graph::ExecOptions opts;
-  Rng in1(GetParam() * 7 + 1), in2(GetParam() * 7 + 1);
-  const auto a = graph::execute(raw, sim::platform(PlatformId::kAiSage), opts, in1);
-  const auto b =
-      graph::execute(optimized, sim::platform(PlatformId::kAiSage), opts, in2);
+  const sim::Platform& plat = sim::platform(PlatformId::kAiSage);
+  const auto execute = [&](const Graph& g) {
+    const auto schedules =
+        graphtune::resolve_conv_schedules(g, plat.gpu, {}, nullptr);
+    graph::ExecOptions opts;
+    opts.conv_schedules = &schedules;
+    Rng in(GetParam() * 7 + 1);
+    return graph::execute(g, plat, opts, in);
+  };
+  const auto a = execute(raw);
+  const auto b = execute(optimized);
   ASSERT_EQ(a.output.shape(), b.output.shape());
   EXPECT_LT(a.output.max_abs_diff(b.output), 1e-3f);
   // Optimization must never be slower on the simulated clock.

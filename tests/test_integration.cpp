@@ -32,10 +32,11 @@ ExecResult full_pipeline(models::Model& m, const sim::Platform& plat,
   topts.n_trials = 32;
   const auto layouts =
       graphtune::tune_graph_layouts(m.graph, plat.gpu, db, topts);
+  const auto schedules = graphtune::resolve_conv_schedules(
+      m.graph, plat.gpu, layouts.layout_of_conv, &db);
   ExecOptions opts;
   opts.compute_numerics = numerics;
-  opts.db = &db;
-  opts.conv_layout_block = layouts.layout_of_conv;
+  opts.conv_schedules = &schedules;
   Rng rng(input_seed);
   return graph::execute(m.graph, plat, opts, rng);
 }
@@ -72,13 +73,15 @@ TEST(Integration, TunedPipelineBeatsUntunedOnEveryPlatform) {
     topts.n_trials = 32;
     const auto layouts =
         graphtune::tune_graph_layouts(m.graph, sim::platform(id).gpu, db, topts);
+    const auto templates = graphtune::resolve_conv_schedules(
+        m.graph, sim::platform(id).gpu, {}, nullptr);
+    const auto tuned_schedules = graphtune::resolve_conv_schedules(
+        m.graph, sim::platform(id).gpu, layouts.layout_of_conv, &db);
     ExecOptions untuned;
     untuned.compute_numerics = false;
-    untuned.use_tuned_configs = false;
+    untuned.conv_schedules = &templates;
     ExecOptions tuned = untuned;
-    tuned.use_tuned_configs = true;
-    tuned.db = &db;
-    tuned.conv_layout_block = layouts.layout_of_conv;
+    tuned.conv_schedules = &tuned_schedules;
     Rng r1(1), r2(1);
     const double before =
         graph::execute(m.graph, sim::platform(id), untuned, r1).latency_ms;
@@ -106,11 +109,14 @@ TEST(Integration, TuneDbPersistsAcrossProcessBoundary) {
   // Reload and verify the executor produces the identical simulated time.
   const tune::TuneDb reloaded = tune::TuneDb::load(path);
   EXPECT_EQ(reloaded.size(), db.size());
+  const auto from_db = graphtune::resolve_conv_schedules(
+      m.graph, plat.gpu, layouts.layout_of_conv, &db);
+  const auto from_reloaded = graphtune::resolve_conv_schedules(
+      m.graph, plat.gpu, layouts.layout_of_conv, &reloaded);
   ExecOptions a, b;
   a.compute_numerics = b.compute_numerics = false;
-  a.db = &db;
-  b.db = &reloaded;
-  a.conv_layout_block = b.conv_layout_block = layouts.layout_of_conv;
+  a.conv_schedules = &from_db;
+  b.conv_schedules = &from_reloaded;
   Rng r1(3), r2(3);
   const double t1 = graph::execute(m.graph, plat, a, r1).latency_ms;
   const double t2 = graph::execute(m.graph, plat, b, r2).latency_ms;
@@ -177,10 +183,11 @@ TEST(Integration, FallbackOverheadIsSmall) {
     topts.n_trials = 24;
     const auto layouts =
         graphtune::tune_graph_layouts(m.graph, plat.gpu, db, topts);
+    const auto schedules = graphtune::resolve_conv_schedules(
+        m.graph, plat.gpu, layouts.layout_of_conv, &db);
     ExecOptions opts;
     opts.compute_numerics = false;
-    opts.db = &db;
-    opts.conv_layout_block = layouts.layout_of_conv;
+    opts.conv_schedules = &schedules;
     Rng r(11);
     return graph::execute(m.graph, plat, opts, r).latency_ms;
   };
@@ -231,14 +238,19 @@ TEST(Integration, BatchEntriesAreIndependent) {
   models::Model m1 = models::build_squeezenet(rng2, 64, /*batch=*/1, 10);
   graph::optimize(m2.graph);
   graph::optimize(m1.graph);
-  ExecOptions opts;
-  // The input node draws numel values from the rng in order, so batch 0 of
-  // the batch-2 input equals the whole batch-1 input for the same seed.
-  Rng in1(77), in2(77);
-  const auto r2 = graph::execute(m2.graph, sim::platform(PlatformId::kDeepLens),
-                                 opts, in1);
-  const auto r1 = graph::execute(m1.graph, sim::platform(PlatformId::kDeepLens),
-                                 opts, in2);
+  const sim::Platform& plat = sim::platform(PlatformId::kDeepLens);
+  const auto execute = [&](const graph::Graph& g) {
+    const auto schedules =
+        graphtune::resolve_conv_schedules(g, plat.gpu, {}, nullptr);
+    ExecOptions opts;
+    opts.conv_schedules = &schedules;
+    // The input node draws numel values from the rng in order, so batch 0 of
+    // the batch-2 input equals the whole batch-1 input for the same seed.
+    Rng in(77);
+    return graph::execute(g, plat, opts, in);
+  };
+  const auto r2 = execute(m2.graph);
+  const auto r1 = execute(m1.graph);
   ASSERT_EQ(r2.output.shape(), Shape({2, 10}));
   ASSERT_EQ(r1.output.shape(), Shape({1, 10}));
   for (int64_t i = 0; i < 10; ++i) {

@@ -5,6 +5,7 @@
 #include "core/rng.h"
 #include "graph/executor.h"
 #include "graph/passes.h"
+#include "graphtune/graph_tuner.h"
 #include "models/models.h"
 #include "sim/device_spec.h"
 
@@ -106,10 +107,13 @@ TEST(Zoo, ClassificationModelsExecuteNumerically) {
   Rng rng(9);
   Model m = build_mobilenet(rng, /*image_size=*/64, 1, 10);
   graph::optimize(m.graph);
+  const sim::Platform& plat = sim::platform(sim::PlatformId::kDeepLens);
+  const auto schedules =
+      graphtune::resolve_conv_schedules(m.graph, plat.gpu, {}, nullptr);
   graph::ExecOptions opts;
+  opts.conv_schedules = &schedules;
   Rng in_rng(10);
-  const auto r = graph::execute(m.graph, sim::platform(sim::PlatformId::kDeepLens),
-                                opts, in_rng);
+  const auto r = graph::execute(m.graph, plat, opts, in_rng);
   EXPECT_EQ(r.output.shape(), Shape({1, 10}));
   double sum = 0.0;
   for (float v : r.output.span_f32()) {

@@ -29,6 +29,7 @@
 #include "graph/executor.h"
 #include "graph/memory_planner.h"
 #include "graph/passes.h"
+#include "graphtune/graph_tuner.h"
 #include "models/models.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
@@ -547,9 +548,12 @@ TEST(Executor, ArenaOptionInvariantsAreValidatedUpFront) {
   BufferArena arena1(plan1.buffer_bytes);
   const sim::Platform& plat = sim::platform(sim::PlatformId::kDeepLens);
 
+  const auto schedules =
+      graphtune::resolve_conv_schedules(m1.graph, plat.gpu, {}, nullptr);
   graph::ExecOptions opts;
   opts.compute_numerics = false;
   opts.use_arena = true;
+  opts.conv_schedules = &schedules;
 
   // Arena without its plan.
   opts.arena = &arena1;

@@ -11,7 +11,9 @@
 //     thread pool (run with TSan via the "concurrency" ctest label);
 //   * dynamic shapes — one CompiledModel serves batch {1,2,4} x resolution
 //     {224,300,416} with zero replanning/retuning, bit-identical in outputs
-//     and simulated latencies to models statically compiled at each shape.
+//     and simulated latencies to models statically compiled at each shape;
+//     a tuned model's variants run the schedules resolve_conv_schedules
+//     gives a direct execute() on the rebound graph.
 #include <gtest/gtest.h>
 
 #include <thread>
@@ -22,6 +24,7 @@
 #include "graph/memory_planner.h"
 #include "graph/passes.h"
 #include "graph/shape_infer.h"
+#include "graphtune/graph_tuner.h"
 #include "models/models.h"
 #include "obs/metrics.h"
 #include "sim/device_spec.h"
@@ -458,6 +461,15 @@ TEST(DynamicShapes, FullSweepRunsWithZeroReplanningOrRetuning) {
     }
   }
 
+  // A tuned model's variants resolve their schedules by the same rule a
+  // direct execute() caller uses: resolve_conv_schedules over the compiled
+  // layouts and tuning database, on the rebound graph.
+  Rng rng3(0x5eed);
+  const CompiledModel tuned = compile_fast(models::build_inception_v1(rng3, 224));
+  Rng rng4(0x5eed);
+  models::Model seed = models::build_inception_v1(rng4, 224);
+  graph::optimize(seed.graph);
+
   auto& reg = obs::MetricsRegistry::global();
   const int64_t plans_before = reg.counter("graph.plan.plans").value();
   const int64_t trials_before = reg.counter("tune.trials").value();
@@ -475,6 +487,18 @@ TEST(DynamicShapes, FullSweepRunsWithZeroReplanningOrRetuning) {
       EXPECT_DOUBLE_EQ(got.critical_path_ms, want.critical_path_ms) << what;
       EXPECT_EQ(got.output.shape()[0], batch) << what;
       EXPECT_EQ(got.counters.flops, want.counters.flops) << what;
+
+      const graph::Graph rebound =
+          graph::rebind_shapes(seed.graph, batch, hw == 224 ? 0 : hw);
+      const auto schedules = graphtune::resolve_conv_schedules(
+          rebound, plat().gpu, tuned.layouts(), &tuned.tune_db());
+      graph::ExecOptions eopts;
+      eopts.compute_numerics = false;
+      eopts.conv_schedules = &schedules;
+      Rng in(ropts.input_seed);
+      EXPECT_DOUBLE_EQ(tuned.run(batch, hw, ropts).latency_ms,
+                       graph::execute(rebound, plat(), eopts, in).latency_ms)
+          << what << " tuned";
     }
   }
 

@@ -5,6 +5,7 @@
 #include "core/rng.h"
 #include "graph/executor.h"
 #include "graph/passes.h"
+#include "graphtune/graph_tuner.h"
 #include "models/common.h"
 #include "ops/vision/roi_align.h"
 #include "sim/device_spec.h"
@@ -30,15 +31,23 @@ Graph roi_head_graph(Rng& rng, Tensor* rois_out) {
   return g;
 }
 
+/// Executes `g` with the template conv schedules.
+ExecResult run(const Graph& g, sim::PlatformId id, uint64_t seed) {
+  const sim::Platform& plat = sim::platform(id);
+  const auto schedules =
+      graphtune::resolve_conv_schedules(g, plat.gpu, {}, nullptr);
+  ExecOptions opts;
+  opts.conv_schedules = &schedules;
+  Rng in_rng(seed);
+  return execute(g, plat, opts, in_rng);
+}
+
 TEST(RoiGraph, ShapesAndExecution) {
   Rng rng(1);
   Graph g = roi_head_graph(rng, nullptr);
   EXPECT_EQ(g.node(g.output()).out_shape, Shape({3, 8, 4, 4}));
   optimize(g);
-  ExecOptions opts;
-  Rng in_rng(2);
-  const ExecResult r = execute(g, sim::platform(sim::PlatformId::kJetsonNano),
-                               opts, in_rng);
+  const ExecResult r = run(g, sim::PlatformId::kJetsonNano, 2);
   EXPECT_EQ(r.output.shape(), Shape({3, 8, 4, 4}));
   EXPECT_GT(r.vision_ms, 0.0);
   for (float v : r.output.span_f32()) EXPECT_TRUE(std::isfinite(v));
@@ -50,12 +59,8 @@ TEST(RoiGraph, CpuFallbackMatchesGpu) {
   Graph cpu_g = roi_head_graph(rng2, nullptr);
   optimize(gpu_g);
   optimize(cpu_g, {OpKind::kRoiAlign});
-  ExecOptions opts;
-  Rng in1(4), in2(4);
-  const auto a = execute(gpu_g, sim::platform(sim::PlatformId::kDeepLens),
-                         opts, in1);
-  const auto b = execute(cpu_g, sim::platform(sim::PlatformId::kDeepLens),
-                         opts, in2);
+  const auto a = run(gpu_g, sim::PlatformId::kDeepLens, 4);
+  const auto b = run(cpu_g, sim::PlatformId::kDeepLens, 4);
   EXPECT_EQ(a.output.max_abs_diff(b.output), 0.0f);
 }
 

@@ -4,6 +4,7 @@
 #include "core/rng.h"
 #include "graph/executor.h"
 #include "graph/passes.h"
+#include "graphtune/graph_tuner.h"
 #include "models/models.h"
 #include "ops/nn/conv2d.h"
 #include "ops/nn/conv2d_transpose.h"
@@ -144,11 +145,14 @@ TEST(Fcn, ExecutesEndToEndOnSimulator) {
   Rng rng(2);
   Model m = build_fcn_resnet50(rng, 64, 1, 5);
   graph::optimize(m.graph);
+  const sim::Platform& plat = sim::platform(sim::PlatformId::kAiSage);
+  const auto schedules =
+      graphtune::resolve_conv_schedules(m.graph, plat.gpu, {}, nullptr);
   graph::ExecOptions opts;
   opts.compute_numerics = true;  // small input: full numerics
+  opts.conv_schedules = &schedules;
   Rng in_rng(3);
-  const auto r = graph::execute(m.graph, sim::platform(sim::PlatformId::kAiSage),
-                                opts, in_rng);
+  const auto r = graph::execute(m.graph, plat, opts, in_rng);
   EXPECT_EQ(r.output.shape(), Shape({1, 5, 64, 64}));
   EXPECT_GT(r.latency_ms, 0.0);
   // Logits are finite everywhere.
